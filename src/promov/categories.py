@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 from typing import Iterator, Optional, Union
 
-from .intlinalg import IntMatrix, snf, solve_congruence_system
+from .intlinalg import IntMatrix, solve_congruence_system
 
 HOM_ENUMERATION_CAP = 200_000
 
@@ -50,17 +50,6 @@ class FgAbelianObject:
 
     def is_trivial(self) -> bool:
         return all(d == 1 for d in self.factors)
-
-    def canonical(self) -> "FgAbelianObject":
-        """Invariant-factor form: divisibility chain, Z/1 summands dropped."""
-        n = len(self.factors)
-        if n == 0:
-            return self
-        pres = IntMatrix(n, n, tuple(
-            self.factors[i] if i == j else 0 for i in range(n) for j in range(n)))
-        diag = snf(pres).diagonal()
-        kept = tuple(d for d in diag if d != 1)
-        return FgAbelianObject(kept)
 
 
 def Z(n: int = 0) -> FgAbelianObject:
@@ -268,8 +257,8 @@ def solve_factorization(p: FactorizationProblem) -> Optional[Morphism]:
         u = _solve_abelian(p)
     else:
         u = _solve_pointed(p)
-    if u is not None:
-        assert check_solution(p, u)
+    if u is not None and not check_solution(p, u):
+        raise AssertionError("solver returned a morphism that fails its constraints")
     return u
 
 

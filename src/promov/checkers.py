@@ -7,7 +7,8 @@ so a checker either certifies the tail through a named stabilization rule
 (HoldsStabilized), reports the horizon-bounded outcome (HoldsAtHorizon /
 FailsAtHorizon), or gives up (Unknown).  A FailsAtHorizon verdict is a proof
 that no witness exists inside the horizon box; it is evidence, not a theorem,
-of failure of the unbounded property, and reports say so.
+of failure of the unbounded property, and reports say so.  Within one
+checker call each distinct factorization problem is solved and verified once.
 """
 
 from __future__ import annotations
@@ -177,9 +178,26 @@ def _periodic_covered(system: InverseSystem, h_limit: int) -> bool:
     return h_limit >= off + per
 
 
-def _solve(source, target, constraints) -> Optional[Morphism]:
-    return solve_factorization(
-        FactorizationProblem(source, target, tuple(constraints)))
+_MISS = object()
+
+
+def _solver():
+    """Factorization solver for one checker call, memoized on the problem.
+
+    A repeated problem gets back the very morphism (or None) that
+    solve_factorization produced and verified the first time.  The memo is
+    dropped with the checker call that made it.
+    """
+    memo = {}
+
+    def solve(source, target, constraints) -> Optional[Morphism]:
+        p = FactorizationProblem(source, target, tuple(constraints))
+        u = memo.get(p, _MISS)
+        if u is _MISS:
+            u = memo[p] = solve_factorization(p)
+        return u
+
+    return solve
 
 
 def _assemble(prop: str, per_mu: list, h: Horizon, finite: bool,
@@ -220,6 +238,7 @@ def movable_morphism(f: SystemMorphism, h: Horizon = Horizon()) -> Verdict:
     every deeper bond q_{mu mu'}."""
     x, y = f.source, f.target
     finite = is_finite_index(y.index)
+    solve = _solver()
     per_mu = []
     for mu in _outer_mus(y, h):
         zlam = _zero_rule_lambda(f, mu, h)
@@ -239,8 +258,8 @@ def movable_morphism(f: SystemMorphism, h: Horizon = Horizon()) -> Verdict:
         rec = WitnessRecord(mu, lam, None)
         failed = None
         for mu2 in _deeper_mus(y, mu, h):
-            u = _solve(x.object_at(lam), y.object_at(mu2),
-                       [Constraint("left", y.bond(mu, mu2), flam)])
+            u = solve(x.object_at(lam), y.object_at(mu2),
+                      [Constraint("left", y.bond(mu, mu2), flam)])
             if u is None:
                 failed = Refutation(mu, lam, mu2,
                                     "no factorization through the deeper bond")
@@ -261,6 +280,7 @@ def strongly_movable_morphism(f: SystemMorphism, h: Horizon = Horizon()) -> Verd
     deeper stage lambda*: u o p_{lambda lambda*} = f_{mu' lambda*}."""
     x, y = f.source, f.target
     finite = is_finite_index(y.index)
+    solve = _solver()
     per_mu = []
     for mu in _outer_mus(y, h):
         zlam = _zero_rule_lambda(f, mu, h)
@@ -295,8 +315,8 @@ def strongly_movable_morphism(f: SystemMorphism, h: Horizon = Horizon()) -> Verd
         for mu2 in _deeper_mus(y, mu, h):
             # the one-sided equation is implied by the two-sided one, so its
             # failure is a genuine refutation even when no lambda* is in range
-            if _solve(x.object_at(lam), y.object_at(mu2),
-                      [Constraint("left", y.bond(mu, mu2), flam)]) is None:
+            if solve(x.object_at(lam), y.object_at(mu2),
+                     [Constraint("left", y.bond(mu, mu2), flam)]) is None:
                 failed = Refutation(mu, lam, mu2,
                                     "no factorization through the deeper bond")
                 break
@@ -306,10 +326,10 @@ def strongly_movable_morphism(f: SystemMorphism, h: Horizon = Horizon()) -> Verd
                 continue
             found = None
             for lamstar in stars:
-                u = _solve(x.object_at(lam), y.object_at(mu2),
-                           [Constraint("left", y.bond(mu, mu2), flam),
-                            Constraint("right", x.bond(lam, lamstar),
-                                       restrict(f, mu2, lamstar))])
+                u = solve(x.object_at(lam), y.object_at(mu2),
+                          [Constraint("left", y.bond(mu, mu2), flam),
+                           Constraint("right", x.bond(lam, lamstar),
+                                      restrict(f, mu2, lamstar))])
                 if u is not None:
                     found = (lamstar, u)
                     break
@@ -366,6 +386,7 @@ def uniformly_movable_morphism(f: SystemMorphism, h: Horizon = Horizon()) -> Ver
     """
     x, y = f.source, f.target
     finite = is_finite_index(y.index)
+    solve = _solver()
     per_mu = []
     for mu in _outer_mus(y, h):
         zlam = _zero_rule_lambda(f, mu, h)
@@ -383,9 +404,9 @@ def uniformly_movable_morphism(f: SystemMorphism, h: Horizon = Horizon()) -> Ver
         top = y.top(h.cone_max)
         if not finite and not y.index.leq(mu, top):
             raise HorizonError(f"cone depth {h.cone_max} is below mu = {mu}")
-        u_top = _solve(x.object_at(lam), y.object_at(top),
-                       [Constraint("left", y.bond(mu, top),
-                                   restrict(f, mu, lam))])
+        u_top = solve(x.object_at(lam), y.object_at(top),
+                      [Constraint("left", y.bond(mu, top),
+                                  restrict(f, mu, lam))])
         if u_top is None:
             per_mu.append((_FAILED, Refutation(
                 mu, lam, top, "no cone top-leg factorization")))
@@ -411,6 +432,7 @@ def co_movable_morphism(f: SystemMorphism, h: Horizon = Horizon()) -> Verdict:
     deeper restriction f_{mu lambda'} of the source."""
     x, y = f.source, f.target
     finite = is_finite_index(y.index)
+    solve = _solver()
     per_mu = []
     for mu in _outer_mus(y, h):
         zlam = _zero_rule_lambda(f, mu, h)
@@ -430,8 +452,8 @@ def co_movable_morphism(f: SystemMorphism, h: Horizon = Horizon()) -> Verdict:
         rec = WitnessRecord(mu, lam, None)
         failed = None
         for lam2 in _deeper_lams(x, f.phi(mu), h):
-            r = _solve(x.object_at(lam), x.object_at(lam2),
-                       [Constraint("left", restrict(f, mu, lam2), flam)])
+            r = solve(x.object_at(lam), x.object_at(lam2),
+                      [Constraint("left", restrict(f, mu, lam2), flam)])
             if r is None:
                 failed = Refutation(mu, lam, lam2,
                                     "no factorization through the deeper restriction")
@@ -452,6 +474,7 @@ def strongly_co_movable_morphism(f: SystemMorphism, h: Horizon = Horizon()) -> V
     r o p_{lambda lambda*} = p_{lambda' lambda*} for some lambda*."""
     x, y = f.source, f.target
     finite = is_finite_index(y.index)
+    solve = _solver()
     per_mu = []
     for mu in _outer_mus(y, h):
         lam = _probe_lambda(f, mu, h)
@@ -462,8 +485,8 @@ def strongly_co_movable_morphism(f: SystemMorphism, h: Horizon = Horizon()) -> V
         verified = None
         for lam2 in _deeper_lams(x, f.phi(mu), h):
             # the one-sided equation is implied by the two-sided one
-            if _solve(x.object_at(lam), x.object_at(lam2),
-                      [Constraint("left", restrict(f, mu, lam2), flam)]) is None:
+            if solve(x.object_at(lam), x.object_at(lam2),
+                     [Constraint("left", restrict(f, mu, lam2), flam)]) is None:
                 failed = Refutation(mu, lam, lam2,
                                     "no factorization through the deeper restriction")
                 break
@@ -472,10 +495,10 @@ def strongly_co_movable_morphism(f: SystemMorphism, h: Horizon = Horizon()) -> V
                 continue
             found = None
             for lamstar in stars:
-                r = _solve(x.object_at(lam), x.object_at(lam2),
-                           [Constraint("left", restrict(f, mu, lam2), flam),
-                            Constraint("right", x.bond(lam, lamstar),
-                                       x.bond(lam2, lamstar))])
+                r = solve(x.object_at(lam), x.object_at(lam2),
+                          [Constraint("left", restrict(f, mu, lam2), flam),
+                           Constraint("right", x.bond(lam, lamstar),
+                                      x.bond(lam2, lamstar))])
                 if r is not None:
                     found = (lamstar, r)
                     break
@@ -506,6 +529,7 @@ def uniformly_co_movable_morphism(f: SystemMorphism, h: Horizon = Horizon()) -> 
     f_mu o r_{phi(mu)} = f_{mu lambda}."""
     x, y = f.source, f.target
     finite = is_finite_index(y.index)
+    solve = _solver()
     per_mu = []
     for mu in _outer_mus(y, h):
         zlam = _zero_rule_lambda(f, mu, h)
@@ -523,9 +547,9 @@ def uniformly_co_movable_morphism(f: SystemMorphism, h: Horizon = Horizon()) -> 
         top = x.top(h.cone_max)
         if not finite and top < f.phi(mu):
             raise HorizonError("cone depth below phi of the probed index")
-        r_top = _solve(x.object_at(lam), x.object_at(top),
-                       [Constraint("left", restrict(f, mu, top),
-                                   restrict(f, mu, lam))])
+        r_top = solve(x.object_at(lam), x.object_at(top),
+                      [Constraint("left", restrict(f, mu, top),
+                                  restrict(f, mu, lam))])
         if r_top is None:
             per_mu.append((_FAILED, Refutation(
                 mu, lam, top, "no co-cone top-leg factorization")))
@@ -657,6 +681,7 @@ def c0_movable_system(x: InverseSystem, c0_objects, h: Horizon = Horizon()) -> V
                        notes=["vacuous: empty probe class"],
                        horizon=h, witnesses=[],
                        refutation=None)
+    solve = _solver()
     per_mu = []
     for lam in _outer_mus(x, h):
         probe = x.top(h.lambda_max) if not finite else x.index.greatest()
@@ -666,9 +691,9 @@ def c0_movable_system(x: InverseSystem, c0_objects, h: Horizon = Horizon()) -> V
         for lam2 in _deeper_lams(x, lam, h):
             for x0 in c0_objects:
                 for hm in cat.enumerate_homs(x0, x.object_at(probe)):
-                    r = _solve(x0, x.object_at(lam2),
-                               [Constraint("left", x.bond(lam, lam2),
-                                           compose(x.bond(lam, probe), hm))])
+                    r = solve(x0, x.object_at(lam2),
+                              [Constraint("left", x.bond(lam, lam2),
+                                          compose(x.bond(lam, probe), hm))])
                     if r is None:
                         failed = Refutation(lam, probe, lam2,
                                             "no relative movability witness")
@@ -699,6 +724,7 @@ def c0_uniformly_movable_system(x: InverseSystem, c0_objects,
                        HOLDS if finite else HOLDS_STABILIZED,
                        notes=["vacuous: empty probe class"],
                        horizon=h, witnesses=[], refutation=None)
+    solve = _solver()
     per_mu = []
     for lam in _outer_mus(x, h):
         probe = x.top(h.lambda_max) if not finite else x.index.greatest()
@@ -708,9 +734,9 @@ def c0_uniformly_movable_system(x: InverseSystem, c0_objects,
         zero_probe = is_zero_morphism(x.bond(lam, probe))
         for x0 in c0_objects:
             for hm in cat.enumerate_homs(x0, x.object_at(probe)):
-                r_top = _solve(x0, x.object_at(top),
-                               [Constraint("left", x.bond(lam, top),
-                                           compose(x.bond(lam, probe), hm))])
+                r_top = solve(x0, x.object_at(top),
+                              [Constraint("left", x.bond(lam, top),
+                                          compose(x.bond(lam, probe), hm))])
                 if r_top is None:
                     failed = Refutation(lam, probe, top,
                                         "no relative cone top-leg")

@@ -69,20 +69,7 @@ class IntMatrix:
     def mul_vector(self, v: Sequence[int]) -> list:
         if self.cols != len(v):
             raise ValueError("vector length mismatch")
-        return [sum(self.row(i)[k] * v[k] for k in range(self.cols)) for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch")
-        out = []
-        for i in range(self.rows):
-            out.extend(self.row(i))
-            out.extend(other.row(i))
-        return IntMatrix(self.rows, self.cols + other.cols, tuple(out))
+        return [sum(x * y for x, y in zip(self.row(i), v)) for i in range(self.rows)]
 
     def det(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -121,9 +108,6 @@ class SnfDecomposition:
     def diagonal(self) -> list:
         n = min(self.D.rows, self.D.cols)
         return [self.D.at(i, i) for i in range(n)]
-
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal() if d != 0)
 
 
 def snf(a: IntMatrix) -> SnfDecomposition:
@@ -166,10 +150,14 @@ def snf(a: IntMatrix) -> SnfDecomposition:
     def find_pivot(t):
         best = None
         for i in range(t, rows):
+            row = m[i]
             for j in range(t, cols):
-                x = m[i][j]
+                x = row[j]
                 if x != 0 and (best is None or abs(x) < abs(best[2])):
                     best = (i, j, x)
+                    if abs(x) == 1:
+                        # nothing later is strictly smaller
+                        return best
         return best
 
     def clear_pivot(t):
@@ -219,13 +207,13 @@ def snf(a: IntMatrix) -> SnfDecomposition:
                 clear_pivot(k + 1)
                 changed = True
 
-    d = IntMatrix.zero(rows, cols).to_rows()
+    d = [0] * (rows * cols)
     for k in range(n):
-        d[k][k] = m[k][k]
+        d[k * cols + k] = m[k][k]
     return SnfDecomposition(
-        U=IntMatrix.from_rows(u) if rows else IntMatrix(0, 0, ()),
-        D=IntMatrix.from_rows(d) if rows else IntMatrix(0, cols, ()),
-        V=IntMatrix.from_rows(v) if cols else IntMatrix(0, 0, ()),
+        U=IntMatrix(rows, rows, tuple(x for r in u for x in r)),
+        D=IntMatrix(rows, cols, tuple(d)),
+        V=IntMatrix(cols, cols, tuple(x for r in v for x in r)),
     )
 
 

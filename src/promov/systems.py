@@ -80,11 +80,17 @@ class InverseSystem:
                 return self._bonds[(lo, hi)]
             return identity(self.object_at(lo))
         if self._step_rule is not None:
-            key = (lo, hi)
-            if key not in self._bonds:
-                # p_{lo,hi} = p_{lo,hi-1} o step(hi-1)
-                self._bonds[key] = compose(self.bond(lo, hi - 1), self._step_rule(hi - 1))
-            return self._bonds[key]
+            bonds = self._bonds
+            if (lo, hi) not in bonds:
+                # p_{lo,n+1} = p_{lo,n} o step(n), caching every p_{lo,n} on
+                # the way up from the deepest one already cached
+                k = hi - 1
+                while k > lo and (lo, k) not in bonds:
+                    k -= 1
+                p = bonds[(lo, k)] if k > lo else identity(self.object_at(lo))
+                for n in range(k, hi):
+                    p = bonds[(lo, n + 1)] = compose(p, self._step_rule(n))
+            return bonds[(lo, hi)]
         return self._bonds[(lo, hi)]
 
     def indices(self, horizon: int):

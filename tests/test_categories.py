@@ -1,9 +1,13 @@
 """Backend categories: objects, homs, factorization, subobjects, functor."""
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import promov
 from promov.categories import (
     BackendError,
     Constraint,
@@ -227,3 +231,24 @@ def test_forgetful_functor():
 def test_identity_dispatch():
     assert morphisms_equal(identity(Z(4)), abelian_identity(Z(4)))
     assert identity(PointedFiniteSet(2)) == pointed_identity(PointedFiniteSet(2))
+
+
+def test_witness_check_survives_optimize_flag():
+    # solve_factorization re-verifies the solver's witness with a check that
+    # python -O cannot strip; a wrong witness must raise, not be returned
+    code = (
+        "from promov import categories as cat\n"
+        "assert False, 'asserts should be stripped under -O'\n"
+        "cat._solve_abelian = lambda p: cat.abelian_zero(p.source, p.target)\n"
+        "p = cat.FactorizationProblem(cat.Z(0), cat.Z(0), (cat.Constraint(\n"
+        "    'left', cat.abelian_identity(cat.Z(0)), cat.abelian_identity(cat.Z(0))),))\n"
+        "try:\n"
+        "    cat.solve_factorization(p)\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(3)\n"
+    )
+    src = str(Path(promov.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={"PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,7 @@
 
 import pytest
 
+from promov import checkers
 from promov.categories import (
     Z,
     compose,
@@ -32,6 +33,7 @@ from promov.checkers import (
 from promov.families import (
     constant_poset_system,
     constant_system,
+    domination_pair,
     example_2_27,
     rudimentary,
 )
@@ -180,3 +182,22 @@ def test_unknown_property_rejected():
     F, G, f = example_2_27()
     with pytest.raises(ValueError):
         check("flying", f, H)
+
+
+def test_one_check_solves_each_distinct_problem_once(monkeypatch):
+    problems = []
+    solve = checkers.solve_factorization
+
+    def counting(p):
+        problems.append(p)
+        return solve(p)
+
+    monkeypatch.setattr(checkers, "solve_factorization", counting)
+    f = domination_pair(3)[0]
+    v = check("strongly_movable", f, H)
+    assert v.status == HOLDS_STABILIZED
+    assert problems and len(problems) == len(set(problems))
+    # the memo dies with its check: a second check solves them all again
+    first = len(problems)
+    check("strongly_movable", f, H)
+    assert len(problems) == 2 * first

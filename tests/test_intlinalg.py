@@ -1,5 +1,6 @@
 """Exact integer kernel: Smith normal form and congruence solving."""
 
+import hashlib
 import random
 
 import pytest
@@ -167,3 +168,42 @@ def test_det_matches_bareiss_cofactor():
                - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
                + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
         assert a.det() == cof
+
+
+def _snf_digest_corpus():
+    """Seeded matrices covering the shapes and entry mixes snf meets: empty
+    shapes, sparse blocks, many unit entries (early pivots), wide ranges, and
+    congruence systems with one slack column per nonzero modulus."""
+    rng = random.Random(2024)
+    mats = [IntMatrix(0, 3, ()), IntMatrix(2, 0, ()), IntMatrix(0, 0, ())]
+    for k in range(600):
+        rows, cols = rng.randrange(1, 8), rng.randrange(1, 10)
+        kind = k % 4
+        if kind == 0:
+            ent = [rng.choice((0, 0, 0, rng.randrange(-9, 10))) for _ in range(rows * cols)]
+        elif kind == 1:
+            ent = [rng.randrange(-2, 3) for _ in range(rows * cols)]
+        elif kind == 2:
+            ent = [rng.randrange(-10**6, 10**6) for _ in range(rows * cols)]
+        else:
+            moduli = [rng.choice((0, 2, 4, 8, 9, 12)) for _ in range(rows)]
+            slack = [i for i, m in enumerate(moduli) if m]
+            core = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)]
+            mats.append(IntMatrix.from_rows(
+                [r + [moduli[j] if j == i else 0 for j in slack]
+                 for i, r in enumerate(core)]))
+            continue
+        mats.append(IntMatrix(rows, cols, tuple(ent)))
+    return mats
+
+
+def test_snf_transforms_are_pinned():
+    # the documented pivot rule fixes U and V exactly, so a digest of every
+    # (U, D, V) over the corpus catches any change to the pivot order or to
+    # how the transforms are built
+    h = hashlib.sha256()
+    for a in _snf_digest_corpus():
+        dec = snf(a)
+        for m in (dec.U, dec.D, dec.V):
+            h.update(repr((m.rows, m.cols, m.entries)).encode())
+    assert h.hexdigest()[:32] == "984c097c6579997dd540ce03959dd925"

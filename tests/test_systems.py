@@ -150,3 +150,12 @@ def test_rudimentary_and_constant():
     assert validate_system(r) == []
     c = constant_bond_system(FiniteDirectedPoset.chain(("a", "b")), Z(2))
     assert validate_system(c) == []
+
+
+def test_deep_sequence_bond_does_not_recurse():
+    F, G, f = example_2_27()
+    deep = G.bond(0, 1500)
+    assert deep.source == G.object_at(1500) and deep.target == G.object_at(0)
+    # the composite is cached at every intermediate stage and agrees with a
+    # one-step extension of the cached stage below it
+    assert morphisms_equal(deep, compose(G.bond(0, 1499), G.bond(1499, 1500)))
