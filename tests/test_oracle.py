@@ -2,6 +2,7 @@
 
 import pytest
 
+from promov import oracle
 from promov.categories import Z
 from promov.checkers import FAILS, HOLDS, PROPERTIES
 from promov.families import (
@@ -61,3 +62,36 @@ def test_unknown_property_rejected():
     x = constant_poset_system(FiniteDirectedPoset.chain(("a",)), Z(2))
     with pytest.raises(ValueError):
         oracle_check("nope", identity_morphism(x))
+
+
+# (uniformly_movable, uniformly_co_movable) work units per instance of
+# finite_instance_corpus(11, 40), recorded when the two cone searches were
+# still separate functions; the cap decides the same instances while these
+# hold.  Instance 14 is left out: it spends 205k units and 20 s.
+CONE_SEARCH_WORK = {
+    0: (30, 56), 1: (28, 27), 2: (38, 36), 3: (23, 23), 4: (26, 24),
+    5: (19, 19), 6: (78, 30), 7: (5, 5), 8: (129, 309), 9: (30, 35),
+    10: (48, 57), 11: (113, 201), 12: (22, 34), 13: (81, 81),
+    15: (604, 5269), 17: (138, 408), 25: (279, 1432), 27: (187, 6742),
+    39: (269, 54),
+}
+
+
+def test_cone_search_work_is_pinned(monkeypatch):
+    budgets = []
+
+    class Recording(oracle._Budget):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            budgets.append(self)
+
+    monkeypatch.setattr(oracle, "_Budget", Recording)
+    corpus = finite_instance_corpus(11, 40)
+    work = {}
+    for i in CONE_SEARCH_WORK:
+        row = []
+        for prop in ("uniformly_movable", "uniformly_co_movable"):
+            oracle_check(prop, corpus[i])
+            row.append(budgets[-1].used)
+        work[i] = tuple(row)
+    assert work == CONE_SEARCH_WORK
