@@ -165,6 +165,13 @@ def identity(obj: Object) -> Morphism:
     return pointed_identity(obj)
 
 
+def zero(source: Object, target: Object) -> Morphism:
+    """Zero map (abelian) or basepoint-constant map (pointed sets)."""
+    if isinstance(source, FgAbelianObject):
+        return abelian_zero(source, target)
+    return pointed_constant(source, target)
+
+
 def is_zero_morphism(f: Morphism) -> bool:
     """Zero map (abelian) or basepoint-constant map (pointed sets)."""
     if isinstance(f, FgAbelianMorphism):

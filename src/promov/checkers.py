@@ -9,11 +9,25 @@ FailsAtHorizon), or gives up (Unknown).  A FailsAtHorizon verdict is a proof
 that no witness exists inside the horizon box; it is evidence, not a theorem,
 of failure of the unbounded property, and reports say so.  Within one
 checker call each distinct factorization problem is solved and verified once.
+
+The six morphism checkers are one search.  For each outer index mu it probes
+one lambda and looks for a witness w : X_lambda -> Z_k with
+L_k o w = f_{mu lambda} at every deeper key k.  A property fixes only a side
+and a kind:
+
+    side     Z  keys           L_k       lambda* equation (strong kind)
+    target   Y  k >= mu        q_{mu k}  w o p_{lambda lambda*} = f_{k lambda*}
+    source   X  k >= phi(mu)   f_{mu k}  w o p_{lambda lambda*} = p_{k lambda*}
+
+    kind     plain (movable, co_movable), strong (strongly_*: adds the
+             lambda* equation), uniform (uniformly_*: the single key top, the
+             greatest in-range index; a cone is fixed by its top leg)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from . import categories as cat
@@ -22,19 +36,12 @@ from .categories import (
     FactorizationProblem,
     Morphism,
     compose,
-    identity,
     is_zero_morphism,
     morphisms_equal,
     solve_factorization,
 )
 from .indexsets import is_finite_index
-from .systems import (
-    ConeMorphism,
-    InverseSystem,
-    SystemMorphism,
-    identity_morphism,
-    restrict,
-)
+from .systems import InverseSystem, SystemMorphism, identity_morphism, restrict
 
 HORIZON_DISCLAIMER = (
     "horizon-bounded result: a Fails/Holds-at-horizon status is evidence "
@@ -144,27 +151,10 @@ def _probe_lambda(f: SystemMorphism, mu, h: Horizon):
             f"phi({mu}) = {pm} exceeds lambda_max = {h.lambda_max}")
     return h.lambda_max
 
-def _deeper_mus(y: InverseSystem, mu, h: Horizon):
-    if is_finite_index(y.index):
-        return [m for m in y.index.members() if y.index.leq(mu, m)]
-    return list(range(mu, h.muprime_max + 1))
 
-
-def _deeper_lams(x: InverseSystem, base, h: Horizon):
-    if is_finite_index(x.index):
-        return [l for l in x.index.members() if x.index.leq(base, l)]
-    return list(range(base, h.muprime_max + 1))
-
-
-def _zero_rule_lambda(f: SystemMorphism, mu, h: Horizon):
-    """Smallest in-range lambda with f_{mu lambda} the zero morphism."""
-    x = f.source
-    if is_finite_index(x.index):
-        return None  # exact expansion does not need stabilization
-    for lam in range(f.phi(mu), h.lambda_max + 1):
-        if is_zero_morphism(restrict(f, mu, lam)):
-            return lam
-    return None
+def _first_zero(candidates, morphism_at):
+    """First candidate c with morphism_at(c) the zero morphism, or None."""
+    return next((c for c in candidates if is_zero_morphism(morphism_at(c))), None)
 
 
 def _periodic_covered(system: InverseSystem, h_limit: int) -> bool:
@@ -223,345 +213,158 @@ def _assemble(prop: str, per_mu: list, h: Horizon, finite: bool,
                    h, notes)
 
 
-def _outer_mus(y: InverseSystem, h: Horizon):
-    if is_finite_index(y.index):
-        return list(y.index.members())
-    return list(range(h.mu_max + 1))
-
-
 # ---------------------------------------------------------------------------
-# movable / strongly movable
+# the witness search behind the six morphism checkers
+
+# kinds of search (see the module docstring)
+_PLAIN = "plain"
+_STRONG = "strong"
+_UNIFORM = "uniform"
+
+
+def _search(prop: str, f: SystemMorphism, h: Horizon, co: bool, kind: str) -> Verdict:
+    finite = is_finite_index(f.target.index)
+    solve = _solver()
+    per_mu = [_search_mu(f, mu, h, co, kind, finite, solve)
+              for mu in f.target.index.above(limit=h.mu_max)]
+    return _assemble(prop, per_mu, h, finite)
+
+
+def _search_mu(f: SystemMorphism, mu, h: Horizon, co: bool, kind: str,
+               finite: bool, solve):
+    """(level, record) for one mu: a witness w : X_lambda -> Z_k with
+    L_k o w = f_{mu lambda} at every key k, plus the lambda* equation of a
+    strong search."""
+    x, y = f.source, f.target
+    z, low = (x, f.phi(mu)) if co else (y, mu)
+    # left(k) = L_k and right(k, lamstar) = the right side of the lambda*
+    # equation, on the chosen side
+    if co:
+        left, right = partial(restrict, f, mu), x.bond
+    else:
+        left, right = partial(y.bond, mu), partial(restrict, f)
+
+    def stars(lam, k):
+        # lambda* >= lam and >= the least index R_k is defined at
+        return x.index.above(lam, k if co else f.phi(k), limit=h.lambda_max)
+
+    lam = _probe_lambda(f, mu, h)
+    if kind == _UNIFORM:
+        top = z.top(h.cone_max)
+        if not finite and not z.index.leq(low, top):
+            raise HorizonError(f"cone depth {h.cone_max} is below "
+                               f"{'phi(mu)' if co else 'mu'} = {low}")
+        keys, limit, extra = [top], h.cone_max, {"cone_top": top}
+    else:
+        limit = h.muprime_max
+        keys, extra = z.index.above(low, limit=limit), {}
+
+    # zero-map rule: f_{mu zlam} = 0 is solved by the zero witness at every key
+    zlam = None
+    if not finite and not (co and kind == _STRONG):
+        zlam = _first_zero(x.index.above(f.phi(mu), limit=h.lambda_max),
+                           partial(restrict, f, mu))
+    if zlam is not None:
+        rec = WitnessRecord(mu, zlam, "zero-map", extra=dict(extra))
+        f_zero = restrict(f, mu, zlam)
+        for k in keys:
+            if kind == _STRONG:
+                # the zero witness solves the lambda* equation too once the
+                # deeper restriction is itself zero at some lambda*
+                zstar = _first_zero(stars(zlam, k), lambda s: right(k, s))
+                if zstar is None:
+                    break
+                rec.extra[k] = {"lambda_star": zstar}
+            u = cat.zero(x.object_at(zlam), z.object_at(k))
+            if not morphisms_equal(compose(left(k), u), f_zero):
+                raise AssertionError(f"zero witness fails at mu = {mu!r}, key {k!r}")
+            rec.witnesses[k] = u
+        else:
+            return _CERTIFIED, rec
+
+    flam = restrict(f, mu, lam)
+    rec = WitnessRecord(mu, lam, None, extra=dict(extra))
+    inconclusive = False
+    verified = None
+    for k in keys:
+        one_sided = [Constraint("left", left(k), flam)]
+        # the one-sided equation is implied by the two-sided one, so its
+        # failure is a genuine refutation even when no lambda* is in range
+        u = solve(x.object_at(lam), z.object_at(k), one_sided)
+        if u is None:
+            reason = (f"no {'co-' if co else ''}cone top-leg factorization"
+                      if kind == _UNIFORM else
+                      f"no factorization through the deeper "
+                      f"{'restriction' if co else 'bond'}")
+            return _FAILED, Refutation(mu, lam, k, reason)
+        if kind == _STRONG:
+            candidates = stars(lam, k)
+            if not candidates:
+                # every admissible lambda* lies past the horizon: untestable
+                continue
+            for lamstar in candidates:
+                u = solve(x.object_at(lam), z.object_at(k), one_sided + [
+                    Constraint("right", x.bond(lam, lamstar), right(k, lamstar))])
+                if u is not None:
+                    break
+            if u is None:
+                if finite:
+                    return _FAILED, Refutation(
+                        mu, lam, k, f"no two-sided {'co-' if co else ''}"
+                                    f"witness for any lambda*")
+                # the lambda* quantifier reaches past the horizon, so an
+                # in-range exhaustion proves nothing either way
+                inconclusive = True
+                continue
+            rec.extra[k] = {"lambda_star": lamstar}
+        verified = k
+        rec.witnesses[k] = u
+    if inconclusive:
+        return _UNKNOWN, rec
+    if finite:
+        return _EXACT, rec
+    # certified once the keys cover a full period of the side's system: for
+    # a strong search only up to the deepest key that got a witness
+    bound = verified if kind == _STRONG else limit
+    if bound is not None and _periodic_covered(z, bound):
+        rec.rule = "eventual-periodicity"
+        return _CERTIFIED, rec
+    return _AT_HORIZON, rec
 
 
 def movable_morphism(f: SystemMorphism, h: Horizon = Horizon()) -> Verdict:
     """Each mu needs one lambda from which f_{mu lambda} factors through
     every deeper bond q_{mu mu'}."""
-    x, y = f.source, f.target
-    finite = is_finite_index(y.index)
-    solve = _solver()
-    per_mu = []
-    for mu in _outer_mus(y, h):
-        zlam = _zero_rule_lambda(f, mu, h)
-        if zlam is not None:
-            rec = WitnessRecord(mu, zlam, "zero-map")
-            for mu2 in _deeper_mus(y, mu, h):
-                u = cat.abelian_zero(x.object_at(zlam), y.object_at(mu2)) \
-                    if isinstance(x.object_at(zlam), cat.FgAbelianObject) \
-                    else cat.pointed_constant(x.object_at(zlam), y.object_at(mu2))
-                assert morphisms_equal(compose(y.bond(mu, mu2), u),
-                                       restrict(f, mu, zlam))
-                rec.witnesses[mu2] = u
-            per_mu.append((_CERTIFIED, rec))
-            continue
-        lam = _probe_lambda(f, mu, h)
-        flam = restrict(f, mu, lam)
-        rec = WitnessRecord(mu, lam, None)
-        failed = None
-        for mu2 in _deeper_mus(y, mu, h):
-            u = solve(x.object_at(lam), y.object_at(mu2),
-                      [Constraint("left", y.bond(mu, mu2), flam)])
-            if u is None:
-                failed = Refutation(mu, lam, mu2,
-                                    "no factorization through the deeper bond")
-                break
-            rec.witnesses[mu2] = u
-        if failed is not None:
-            per_mu.append((_FAILED, failed))
-        elif not finite and _periodic_covered(y, h.muprime_max):
-            rec.rule = "eventual-periodicity"
-            per_mu.append((_CERTIFIED, rec))
-        else:
-            per_mu.append((_EXACT if finite else _AT_HORIZON, rec))
-    return _assemble("movable", per_mu, h, finite)
+    return _search("movable", f, h, co=False, kind=_PLAIN)
 
 
 def strongly_movable_morphism(f: SystemMorphism, h: Horizon = Horizon()) -> Verdict:
     """As movable, but the witness u must also restrict correctly from some
     deeper stage lambda*: u o p_{lambda lambda*} = f_{mu' lambda*}."""
-    x, y = f.source, f.target
-    finite = is_finite_index(y.index)
-    solve = _solver()
-    per_mu = []
-    for mu in _outer_mus(y, h):
-        zlam = _zero_rule_lambda(f, mu, h)
-        if zlam is not None and not finite:
-            # zero witness solves both equations when the deeper restriction
-            # is itself zero at some lambda*
-            rec = WitnessRecord(mu, zlam, "zero-map")
-            all_ok = True
-            for mu2 in _deeper_mus(y, mu, h):
-                zstar = None
-                for lamstar in range(max(zlam, f.phi(mu2)), h.lambda_max + 1):
-                    if is_zero_morphism(restrict(f, mu2, lamstar)):
-                        zstar = lamstar
-                        break
-                if zstar is None:
-                    all_ok = False
-                    break
-                u = cat.abelian_zero(x.object_at(zlam), y.object_at(mu2)) \
-                    if isinstance(x.object_at(zlam), cat.FgAbelianObject) \
-                    else cat.pointed_constant(x.object_at(zlam), y.object_at(mu2))
-                rec.witnesses[mu2] = u
-                rec.extra[mu2] = {"lambda_star": zstar}
-            if all_ok:
-                per_mu.append((_CERTIFIED, rec))
-                continue
-        lam = _probe_lambda(f, mu, h)
-        flam = restrict(f, mu, lam)
-        rec = WitnessRecord(mu, lam, None)
-        failed = None
-        inconclusive = False
-        verified = None
-        for mu2 in _deeper_mus(y, mu, h):
-            # the one-sided equation is implied by the two-sided one, so its
-            # failure is a genuine refutation even when no lambda* is in range
-            if solve(x.object_at(lam), y.object_at(mu2),
-                     [Constraint("left", y.bond(mu, mu2), flam)]) is None:
-                failed = Refutation(mu, lam, mu2,
-                                    "no factorization through the deeper bond")
-                break
-            stars = _star_range(x, lam, f.phi(mu2), h)
-            if not stars:
-                # every admissible lambda* lies past the horizon: untestable
-                continue
-            found = None
-            for lamstar in stars:
-                u = solve(x.object_at(lam), y.object_at(mu2),
-                          [Constraint("left", y.bond(mu, mu2), flam),
-                           Constraint("right", x.bond(lam, lamstar),
-                                      restrict(f, mu2, lamstar))])
-                if u is not None:
-                    found = (lamstar, u)
-                    break
-            if found is None:
-                if finite:
-                    failed = Refutation(mu, lam, mu2,
-                                        "no two-sided witness for any lambda*")
-                    break
-                # the lambda* quantifier reaches past the horizon, so an
-                # in-range exhaustion proves nothing either way
-                inconclusive = True
-                continue
-            verified = mu2
-            rec.witnesses[mu2] = found[1]
-            rec.extra[mu2] = {"lambda_star": found[0]}
-        if failed is not None:
-            per_mu.append((_FAILED, failed))
-        elif inconclusive:
-            per_mu.append((_UNKNOWN, rec))
-        elif not finite and verified is not None and _periodic_covered(y, verified):
-            rec.rule = "eventual-periodicity"
-            per_mu.append((_CERTIFIED, rec))
-        else:
-            per_mu.append((_EXACT if finite else _AT_HORIZON, rec))
-    return _assemble("strongly_movable", per_mu, h, finite)
-
-
-def _star_range(x: InverseSystem, lam, other, h: Horizon):
-    """Ascending candidates lambda* >= lam, other."""
-    if is_finite_index(x.index):
-        return [l for l in x.index.members()
-                if x.index.leq(lam, l) and x.index.leq(other, l)]
-    return list(range(max(lam, other), h.lambda_max + 1))
-
-
-# ---------------------------------------------------------------------------
-# uniform movability (cone witnesses)
-
-
-def _cone_from_top(target: InverseSystem, top, top_leg: Morphism,
-                   h: Horizon) -> ConeMorphism:
-    """Cone with the given top leg; lower legs are forced by composition."""
-    def leg(mu):
-        return compose(target.bond(mu, top), top_leg)
-    return ConeMorphism(top_leg.source, target, leg)
+    return _search("strongly_movable", f, h, co=False, kind=_STRONG)
 
 
 def uniformly_movable_morphism(f: SystemMorphism, h: Horizon = Horizon()) -> Verdict:
-    """The witness is one cone u : X_lambda -> Y with q_mu o u = f_{mu lambda}.
-
-    A cone over a finite directed poset, or over the in-range part of a
-    sequence, is determined by its leg at the greatest in-range index, so the
-    search reduces to a single factorization through that stage.
-    """
-    x, y = f.source, f.target
-    finite = is_finite_index(y.index)
-    solve = _solver()
-    per_mu = []
-    for mu in _outer_mus(y, h):
-        zlam = _zero_rule_lambda(f, mu, h)
-        if zlam is not None:
-            top = y.top(h.cone_max)
-            zero_leg = cat.abelian_zero(x.object_at(zlam), y.object_at(top)) \
-                if isinstance(x.object_at(zlam), cat.FgAbelianObject) \
-                else cat.pointed_constant(x.object_at(zlam), y.object_at(top))
-            rec = WitnessRecord(mu, zlam, "zero-map",
-                                witnesses={top: zero_leg},
-                                extra={"cone_top": top})
-            per_mu.append((_CERTIFIED, rec))
-            continue
-        lam = _probe_lambda(f, mu, h)
-        top = y.top(h.cone_max)
-        if not finite and not y.index.leq(mu, top):
-            raise HorizonError(f"cone depth {h.cone_max} is below mu = {mu}")
-        u_top = solve(x.object_at(lam), y.object_at(top),
-                      [Constraint("left", y.bond(mu, top),
-                                  restrict(f, mu, lam))])
-        if u_top is None:
-            per_mu.append((_FAILED, Refutation(
-                mu, lam, top, "no cone top-leg factorization")))
-            continue
-        cone = _cone_from_top(y, top, u_top, h)
-        assert morphisms_equal(cone.leg(mu), restrict(f, mu, lam))
-        rec = WitnessRecord(mu, lam, None, witnesses={top: u_top},
-                            extra={"cone_top": top})
-        if not finite and _periodic_covered(y, h.cone_max):
-            rec.rule = "eventual-periodicity"
-            per_mu.append((_CERTIFIED, rec))
-        else:
-            per_mu.append((_EXACT if finite else _AT_HORIZON, rec))
-    return _assemble("uniformly_movable", per_mu, h, finite)
-
-
-# ---------------------------------------------------------------------------
-# co-movability
+    """The witness is one cone u : X_lambda -> Y with q_mu o u = f_{mu lambda}."""
+    return _search("uniformly_movable", f, h, co=False, kind=_UNIFORM)
 
 
 def co_movable_morphism(f: SystemMorphism, h: Horizon = Horizon()) -> Verdict:
     """Each mu needs one lambda such that f_{mu lambda} factors through every
     deeper restriction f_{mu lambda'} of the source."""
-    x, y = f.source, f.target
-    finite = is_finite_index(y.index)
-    solve = _solver()
-    per_mu = []
-    for mu in _outer_mus(y, h):
-        zlam = _zero_rule_lambda(f, mu, h)
-        if zlam is not None:
-            rec = WitnessRecord(mu, zlam, "zero-map")
-            for lam2 in _deeper_lams(x, f.phi(mu), h):
-                r = cat.abelian_zero(x.object_at(zlam), x.object_at(lam2)) \
-                    if isinstance(x.object_at(zlam), cat.FgAbelianObject) \
-                    else cat.pointed_constant(x.object_at(zlam), x.object_at(lam2))
-                assert morphisms_equal(compose(restrict(f, mu, lam2), r),
-                                       restrict(f, mu, zlam))
-                rec.witnesses[lam2] = r
-            per_mu.append((_CERTIFIED, rec))
-            continue
-        lam = _probe_lambda(f, mu, h)
-        flam = restrict(f, mu, lam)
-        rec = WitnessRecord(mu, lam, None)
-        failed = None
-        for lam2 in _deeper_lams(x, f.phi(mu), h):
-            r = solve(x.object_at(lam), x.object_at(lam2),
-                      [Constraint("left", restrict(f, mu, lam2), flam)])
-            if r is None:
-                failed = Refutation(mu, lam, lam2,
-                                    "no factorization through the deeper restriction")
-                break
-            rec.witnesses[lam2] = r
-        if failed is not None:
-            per_mu.append((_FAILED, failed))
-        elif not finite and _periodic_covered(x, h.muprime_max):
-            rec.rule = "eventual-periodicity"
-            per_mu.append((_CERTIFIED, rec))
-        else:
-            per_mu.append((_EXACT if finite else _AT_HORIZON, rec))
-    return _assemble("co_movable", per_mu, h, finite)
+    return _search("co_movable", f, h, co=True, kind=_PLAIN)
 
 
 def strongly_co_movable_morphism(f: SystemMorphism, h: Horizon = Horizon()) -> Verdict:
     """Co-movability whose witness r also satisfies
     r o p_{lambda lambda*} = p_{lambda' lambda*} for some lambda*."""
-    x, y = f.source, f.target
-    finite = is_finite_index(y.index)
-    solve = _solver()
-    per_mu = []
-    for mu in _outer_mus(y, h):
-        lam = _probe_lambda(f, mu, h)
-        flam = restrict(f, mu, lam)
-        rec = WitnessRecord(mu, lam, None)
-        failed = None
-        inconclusive = False
-        verified = None
-        for lam2 in _deeper_lams(x, f.phi(mu), h):
-            # the one-sided equation is implied by the two-sided one
-            if solve(x.object_at(lam), x.object_at(lam2),
-                     [Constraint("left", restrict(f, mu, lam2), flam)]) is None:
-                failed = Refutation(mu, lam, lam2,
-                                    "no factorization through the deeper restriction")
-                break
-            stars = _star_range(x, lam, lam2, h)
-            if not stars:
-                continue
-            found = None
-            for lamstar in stars:
-                r = solve(x.object_at(lam), x.object_at(lam2),
-                          [Constraint("left", restrict(f, mu, lam2), flam),
-                           Constraint("right", x.bond(lam, lamstar),
-                                      x.bond(lam2, lamstar))])
-                if r is not None:
-                    found = (lamstar, r)
-                    break
-            if found is None:
-                if finite:
-                    failed = Refutation(mu, lam, lam2,
-                                        "no two-sided co-witness for any lambda*")
-                    break
-                inconclusive = True
-                continue
-            verified = lam2
-            rec.witnesses[lam2] = found[1]
-            rec.extra[lam2] = {"lambda_star": found[0]}
-        if failed is not None:
-            per_mu.append((_FAILED, failed))
-        elif inconclusive:
-            per_mu.append((_UNKNOWN, rec))
-        elif not finite and verified is not None and _periodic_covered(x, verified):
-            rec.rule = "eventual-periodicity"
-            per_mu.append((_CERTIFIED, rec))
-        else:
-            per_mu.append((_EXACT if finite else _AT_HORIZON, rec))
-    return _assemble("strongly_co_movable", per_mu, h, finite)
+    return _search("strongly_co_movable", f, h, co=True, kind=_STRONG)
 
 
 def uniformly_co_movable_morphism(f: SystemMorphism, h: Horizon = Horizon()) -> Verdict:
     """The witness is one cone r : X_lambda -> X with
     f_mu o r_{phi(mu)} = f_{mu lambda}."""
-    x, y = f.source, f.target
-    finite = is_finite_index(y.index)
-    solve = _solver()
-    per_mu = []
-    for mu in _outer_mus(y, h):
-        zlam = _zero_rule_lambda(f, mu, h)
-        if zlam is not None:
-            top = x.top(h.cone_max)
-            zero_leg = cat.abelian_zero(x.object_at(zlam), x.object_at(top)) \
-                if isinstance(x.object_at(zlam), cat.FgAbelianObject) \
-                else cat.pointed_constant(x.object_at(zlam), x.object_at(top))
-            rec = WitnessRecord(mu, zlam, "zero-map",
-                                witnesses={top: zero_leg},
-                                extra={"cone_top": top})
-            per_mu.append((_CERTIFIED, rec))
-            continue
-        lam = _probe_lambda(f, mu, h)
-        top = x.top(h.cone_max)
-        if not finite and top < f.phi(mu):
-            raise HorizonError("cone depth below phi of the probed index")
-        r_top = solve(x.object_at(lam), x.object_at(top),
-                      [Constraint("left", restrict(f, mu, top),
-                                  restrict(f, mu, lam))])
-        if r_top is None:
-            per_mu.append((_FAILED, Refutation(
-                mu, lam, top, "no co-cone top-leg factorization")))
-            continue
-        rec = WitnessRecord(mu, lam, None, witnesses={top: r_top},
-                            extra={"cone_top": top})
-        if not finite and _periodic_covered(x, h.cone_max):
-            rec.rule = "eventual-periodicity"
-            per_mu.append((_CERTIFIED, rec))
-        else:
-            per_mu.append((_EXACT if finite else _AT_HORIZON, rec))
-    return _assemble("uniformly_co_movable", per_mu, h, finite)
+    return _search("uniformly_co_movable", f, h, co=True, kind=_UNIFORM)
 
 
 # ---------------------------------------------------------------------------
@@ -579,9 +382,9 @@ def mittag_leffler(f: SystemMorphism, h: Horizon = Horizon()) -> Verdict:
     finite = is_finite_index(y.index)
     per_mu = []
     notes = []
-    for mu in _outer_mus(y, h):
-        lams = _lam_chain_range(x, f.phi(mu), h)
-        chain = [(lam, cat.image_subobject(restrict(f, mu, lam))) for lam in lams]
+    for mu in y.index.above(limit=h.mu_max):
+        chain = [(lam, cat.image_subobject(restrict(f, mu, lam)))
+                 for lam in x.index.above(f.phi(mu), limit=h.lambda_max)]
         if finite:
             # exact: some lam whose image equals every deeper one
             ok = None
@@ -638,12 +441,6 @@ def mittag_leffler(f: SystemMorphism, h: Horizon = Horizon()) -> Verdict:
     return _assemble("mittag_leffler", per_mu, h, finite, notes=notes)
 
 
-def _lam_chain_range(x: InverseSystem, base, h: Horizon):
-    if is_finite_index(x.index):
-        return [l for l in x.index.members() if x.index.leq(base, l)]
-    return list(range(base, h.lambda_max + 1))
-
-
 # ---------------------------------------------------------------------------
 # system-level checks (identity-morphism reductions)
 
@@ -683,12 +480,12 @@ def c0_movable_system(x: InverseSystem, c0_objects, h: Horizon = Horizon()) -> V
                        refutation=None)
     solve = _solver()
     per_mu = []
-    for lam in _outer_mus(x, h):
-        probe = x.top(h.lambda_max) if not finite else x.index.greatest()
+    for lam in x.index.above(limit=h.mu_max):
+        probe = x.top(h.lambda_max)
         rec = WitnessRecord(lam, probe, None)
         failed = None
         zero_probe = is_zero_morphism(x.bond(lam, probe))
-        for lam2 in _deeper_lams(x, lam, h):
+        for lam2 in x.index.above(lam, limit=h.muprime_max):
             for x0 in c0_objects:
                 for hm in cat.enumerate_homs(x0, x.object_at(probe)):
                     r = solve(x0, x.object_at(lam2),
@@ -726,9 +523,9 @@ def c0_uniformly_movable_system(x: InverseSystem, c0_objects,
                        horizon=h, witnesses=[], refutation=None)
     solve = _solver()
     per_mu = []
-    for lam in _outer_mus(x, h):
-        probe = x.top(h.lambda_max) if not finite else x.index.greatest()
-        top = x.top(h.cone_max) if not finite else x.index.greatest()
+    for lam in x.index.above(limit=h.mu_max):
+        probe = x.top(h.lambda_max)
+        top = x.top(h.cone_max)
         rec = WitnessRecord(lam, probe, None, extra={"cone_top": top})
         failed = None
         zero_probe = is_zero_morphism(x.bond(lam, probe))

@@ -37,7 +37,6 @@ from .systems import (
     are_equivalent,
     compose_morphisms,
     identity_morphism,
-    restrict,
     validate_morphism,
     validate_system,
 )
@@ -518,14 +517,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decide movability-type properties of inverse systems "
                     "and their morphisms.")
     sub = parser.add_subparsers(dest="command", required=True)
+    box = Horizon()
 
     def add_common(p, needs_input=True):
         if needs_input:
             p.add_argument("input", help="instance document (JSON)")
-        p.add_argument("--horizon-mu", type=int, default=6)
-        p.add_argument("--horizon-lambda", type=int, default=12)
-        p.add_argument("--horizon-muprime", type=int, default=13)
-        p.add_argument("--cone-depth", type=int, default=13)
+        p.add_argument("--horizon-mu", type=int, default=box.mu_max)
+        p.add_argument("--horizon-lambda", type=int, default=box.lambda_max)
+        p.add_argument("--horizon-muprime", type=int, default=box.muprime_max)
+        p.add_argument("--cone-depth", type=int, default=box.cone_max)
         p.add_argument("--format", choices=["text", "structured"],
                        default="text")
         p.add_argument("--seed", type=int, default=None)

@@ -190,7 +190,7 @@ def random_finite_morphism(rng: random.Random, backend: str,
         return identity_morphism(x)
     if kind == 1:
         # bond restriction: phi(mu) random above mu, f_mu the bond
-        table = {mu: rng.choice(poset.upper_set(mu)) for mu in poset.members()}
+        table = {mu: rng.choice(poset.above(mu)) for mu in poset.members()}
         return SystemMorphism(x, x, IndexMap.from_table(poset, poset, table),
                               lambda mu: x.bond(mu, table[mu]),
                               name="bond-restriction")

@@ -33,8 +33,13 @@ class FiniteDirectedPoset:
     def members(self) -> tuple:
         return self.elements
 
-    def upper_set(self, a) -> list:
-        return [b for b in self.elements if self.leq(a, b)]
+    def above(self, *lows, limit=None) -> list:
+        """Members >= every low, in declared order; ``limit`` is ignored
+        (it bounds only the infinite chain)."""
+        out = list(self.elements)
+        for a in lows:
+            out = [b for b in out if self.leq(a, b)]
+        return out
 
     def greatest(self):
         """The greatest element; exists for every valid directed finite poset."""
@@ -74,6 +79,10 @@ class NatIndex:
 
     def leq(self, a: int, b: int) -> bool:
         return a <= b
+
+    def above(self, *lows, limit: int) -> range:
+        """The in-range indices >= every low: max(lows)..limit."""
+        return range(max(lows, default=0), limit + 1)
 
 
 IndexSet = Union[FiniteDirectedPoset, NatIndex]

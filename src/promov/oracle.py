@@ -195,13 +195,15 @@ def _strongly_movable(f, homs, budget):
     return _verdict("strongly_movable", per_mu, None)
 
 
-def _cone_exists(system: InverseSystem, source_obj, fixed: dict,
-                 homs: _Homs, budget: _Budget) -> bool:
+def _cone_exists(system: InverseSystem, source_obj, homs: _Homs, budget: _Budget,
+                 fixed: dict = None, leg_ok=None) -> bool:
     """Exhaustive backtracking over full leg families leg: members -> Hom,
-    honoring fixed legs and cone compatibility.  Semantically identical to
-    enumerating the full product of hom-sets."""
+    honoring fixed legs, the predicate leg_ok(member, leg) when given, and
+    cone compatibility.  Semantically identical to enumerating the full
+    product of hom-sets."""
     poset = system.index
     members = list(poset.members())
+    fixed = fixed or {}
 
     def extend(i, legs):
         if i == len(members):
@@ -211,6 +213,8 @@ def _cone_exists(system: InverseSystem, source_obj, fixed: dict,
                       else homs.get(source_obj, system.object_at(m)))
         for cand in candidates:
             budget.spend()
+            if leg_ok is not None and not leg_ok(m, cand):
+                continue
             good = True
             for m2, l2 in legs.items():
                 if poset.leq(m, m2):
@@ -237,9 +241,8 @@ def _uniformly_movable(f, homs, budget):
     for mu in y.index.members():
         admissible = []
         for lam in _ups(x.index, f.phi(mu)):
-            if _cone_exists(y, x.object_at(lam),
-                            fixed={mu: restrict(f, mu, lam)},
-                            homs=homs, budget=budget):
+            if _cone_exists(y, x.object_at(lam), homs, budget,
+                            fixed={mu: restrict(f, mu, lam)}):
                 admissible.append(lam)
         if not admissible:
             return _verdict("uniformly_movable", {}, mu)
@@ -311,53 +314,20 @@ def _uniformly_co_movable(f, homs, budget):
     per_mu = {}
     for mu in y.index.members():
         admissible = []
-        for lam in _ups(x.index, f.phi(mu)):
+        pm = f.phi(mu)
+        for lam in _ups(x.index, pm):
             flam = restrict(f, mu, lam)
             # cone into the source whose leg at phi(mu) satisfies
             # f_mu o r_{phi(mu)} = f_{mu lam}: enumerate and test directly
-            found = _cone_exists_with(x, x.object_at(lam), homs, budget,
-                                      test_leg=f.phi(mu),
-                                      test=lambda leg: morphisms_equal(
-                                          compose(f.f(mu), leg), flam))
+            found = _cone_exists(x, x.object_at(lam), homs, budget,
+                                 leg_ok=lambda m, leg: m != pm or morphisms_equal(
+                                     compose(f.f(mu), leg), flam))
             if found:
                 admissible.append(lam)
         if not admissible:
             return _verdict("uniformly_co_movable", {}, mu)
         per_mu[mu] = admissible
     return _verdict("uniformly_co_movable", per_mu, None)
-
-
-def _cone_exists_with(system, source_obj, homs, budget, test_leg, test) -> bool:
-    """Cone search where one designated leg must pass a predicate."""
-    poset = system.index
-    members = list(poset.members())
-
-    def extend(i, legs):
-        if i == len(members):
-            return True
-        m = members[i]
-        for cand in homs.get(source_obj, system.object_at(m)):
-            budget.spend()
-            if m == test_leg and not test(cand):
-                continue
-            good = True
-            for m2, l2 in legs.items():
-                if poset.leq(m, m2):
-                    if not morphisms_equal(compose(system.bond(m, m2), l2), cand):
-                        good = False
-                        break
-                if poset.leq(m2, m):
-                    if not morphisms_equal(compose(system.bond(m2, m), cand), l2):
-                        good = False
-                        break
-            if good:
-                legs[m] = cand
-                if extend(i + 1, legs):
-                    return True
-                del legs[m]
-        return False
-
-    return extend(0, {})
 
 
 def _image_set(m, budget) -> frozenset:

@@ -13,14 +13,7 @@ from typing import Callable, Optional
 
 from . import categories as cat
 from .categories import BackendError, Morphism, Object, compose, identity, morphisms_equal
-from .indexsets import (
-    NAT,
-    FiniteDirectedPoset,
-    IndexMap,
-    IndexSet,
-    is_finite_index,
-    upper_bound,
-)
+from .indexsets import FiniteDirectedPoset, IndexMap, IndexSet, is_finite_index
 
 
 @dataclass(frozen=True)
@@ -96,9 +89,7 @@ class InverseSystem:
     def indices(self, horizon: int):
         """Index range for horizon-bounded loops: all elements of a finite
         poset, or 0..horizon on the chain."""
-        if is_finite_index(self.index):
-            return list(self.index.members())
-        return list(range(horizon + 1))
+        return list(self.index.above(limit=horizon))
 
     def is_sequence(self) -> bool:
         return not is_finite_index(self.index)
@@ -244,26 +235,15 @@ def validate_morphism(f: SystemMorphism, horizon: int = 8,
     else:
         pairs = [(n, n + 1) for n in range(horizon)]
     for mu, mu2 in pairs:
-        lam_candidates = _lams_above(x, f.phi(mu), f.phi(mu2), lambda_horizon)
-        ok = False
-        for lam in lam_candidates:
-            lhs = restrict(f, mu, lam)
-            rhs = compose(y.bond(mu, mu2), restrict(f, mu2, lam))
-            if morphisms_equal(lhs, rhs):
-                ok = True
-                break
-        if not ok:
+        lows = (f.phi(mu), f.phi(mu2))
+        # on the chain the candidates always reach the larger low
+        limit = (lambda_horizon if is_finite_index(x.index)
+                 else max(lambda_horizon, *lows))
+        if not any(morphisms_equal(restrict(f, mu, lam),
+                                   compose(y.bond(mu, mu2), restrict(f, mu2, lam)))
+                   for lam in x.index.above(*lows, limit=limit)):
             out.append(f"coherence failure at ({mu!r}, {mu2!r})")
     return out
-
-
-def _lams_above(x: InverseSystem, a, b, horizon: int) -> list:
-    """Ascending candidates lam >= a, b in X's index set, in range."""
-    if is_finite_index(x.index):
-        return [lam for lam in x.index.members()
-                if x.index.leq(a, lam) and x.index.leq(b, lam)]
-    lo = max(a, b)
-    return list(range(lo, max(horizon, lo) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +281,8 @@ def are_equivalent(f: SystemMorphism, g: SystemMorphism,
         raise BackendError("equivalence requires identical endpoints")
     x, y = f.source, f.target
     for mu in y.indices(mu_max):
-        cands = _lams_above(x, f.phi(mu), g.phi(mu), lambda_max)
-        if x.is_sequence():
-            cands = cands[-1:]
+        lows = (f.phi(mu), g.phi(mu))
+        cands = [max(lambda_max, *lows)] if x.is_sequence() else x.index.above(*lows)
         if not any(morphisms_equal(restrict(f, mu, lam), restrict(g, mu, lam))
                    for lam in cands):
             return False
@@ -312,13 +291,6 @@ def are_equivalent(f: SystemMorphism, g: SystemMorphism,
 
 # ---------------------------------------------------------------------------
 # convenience constructors
-
-
-def backend_of(x: InverseSystem, horizon: int = 0) -> str:
-    obj = x.object_at(x.indices(horizon)[0]) if x.indices(horizon) else None
-    if isinstance(obj, cat.PointedFiniteSet):
-        return "pointed_set"
-    return "abelian"
 
 
 def constant_bond_system(index: FiniteDirectedPoset, obj: Object,

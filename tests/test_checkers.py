@@ -1,7 +1,12 @@
 """Decision procedures: statuses, witnesses, refutations, stabilization."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import promov
 from promov import checkers
 from promov.categories import (
     Z,
@@ -201,3 +206,35 @@ def test_one_check_solves_each_distinct_problem_once(monkeypatch):
     first = len(problems)
     check("strongly_movable", f, H)
     assert len(problems) == 2 * first
+
+
+@pytest.mark.parametrize("prop", ["uniformly_movable", "uniformly_co_movable"])
+def test_cone_depth_below_mu_is_refused(prop):
+    # every mu of example 2.27 has a zero-map witness; a cone top below mu
+    # (or below phi(mu)) must still be refused, not certified as a cone leg
+    F, G, f = example_2_27()
+    with pytest.raises(HorizonError):
+        check(prop, f, Horizon(cone_max=3))
+
+
+def test_zero_witness_check_survives_optimize_flag():
+    # every zero-map witness is re-checked by a check that python -O cannot
+    # strip; with the equality test broken, each zero-map path must raise
+    code = (
+        "from promov import checkers\n"
+        "from promov.families import example_2_27\n"
+        "assert False, 'asserts should be stripped under -O'\n"
+        "checkers.morphisms_equal = lambda f, g: False\n"
+        "f = example_2_27()[2]\n"
+        "for prop in ('movable', 'strongly_movable', 'uniformly_movable',\n"
+        "             'co_movable', 'uniformly_co_movable'):\n"
+        "    try:\n"
+        "        checkers.check(prop, f)\n"
+        "    except AssertionError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'{prop} returned a verdict')\n"
+    )
+    src = str(Path(promov.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={"PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -163,3 +163,10 @@ def test_demo_deterministic():
     assert [d["status"] for d in docs] == [
         "HoldsStabilized", "FailsAtHorizon", "FailsAtHorizon",
         "HoldsStabilized"]
+
+
+@pytest.mark.parametrize("prop", ["uniformly_movable", "uniformly_co_movable"])
+def test_cone_depth_below_mu_exits_2(tmp_path, prop):
+    path = write(tmp_path, family_doc())
+    code, text = run(["check", prop, path, "--cone-depth", "3"])
+    assert code == EXIT_PARSE and text == ""

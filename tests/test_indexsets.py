@@ -31,7 +31,9 @@ def test_vee_shape():
     assert not p.leq("a", "b") and not p.leq("b", "a")
     assert p.greatest() == "c"
     assert upper_bound(p, "a", "b") == "c"
-    assert p.upper_set("a") == ["a", "c"]
+    assert p.above("a") == ["a", "c"]
+    assert p.above("a", "b") == ["c"]
+    assert p.above() == ["a", "b", "c"]
 
 
 def test_invalid_posets_reported():
@@ -46,6 +48,9 @@ def test_invalid_posets_reported():
 def test_nat_index():
     assert NAT.leq(3, 7) and not NAT.leq(7, 3)
     assert upper_bound(NAT, 4, 9) == 9
+    assert NAT.above(limit=3) == range(4)
+    assert NAT.above(2, 5, limit=7) == range(5, 8)
+    assert not NAT.above(9, limit=7)
     assert not is_finite_index(NAT)
     assert is_finite_index(FiniteDirectedPoset.chain((0,)))
 

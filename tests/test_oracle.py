@@ -48,7 +48,7 @@ def test_admissible_sets_are_recorded_and_upward_closed():
             adm = set(rec.extra["admissible"])
             assert adm
             for lam in adm:
-                for lam2 in poset.upper_set(lam):
+                for lam2 in poset.above(lam):
                     assert lam2 in adm
 
 

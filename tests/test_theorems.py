@@ -230,6 +230,6 @@ def test_oracle_admissible_indices_upward_closed():
         for rec in v.witnesses:
             adm = set(rec.extra["admissible"])
             for lam in adm:
-                assert set(poset.upper_set(lam)) <= adm
+                assert set(poset.above(lam)) <= adm
                 checked += 1
     assert checked > 0
