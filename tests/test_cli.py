@@ -149,6 +149,25 @@ def test_compose_and_equiv(tmp_path):
     path = write(tmp_path, doc, "lone.json")
     code, _ = run(["compose", path])
     assert code == EXIT_PARSE
+    # X -> Y -> W through the nested 'target' and 'target2' documents:
+    # Z/4 onto Z/2 over the chain a <= b, then Z/2 at b into Z/4 at the
+    # single index c as x2, composes to x2 from X_b to W_c
+    z2 = abelian(2)
+    y = {"index": doc["index"], "objects": {"a": z2, "b": z2},
+         "bonds": [["a", "b", abelian_map(z2, z2, [["1"]])]]}
+    w = {"index": {"kind": "finite", "elements": ["c"], "pairs": []},
+         "objects": {"c": z4}, "bonds": []}
+    doc.update(target=y, target2=w,
+               morphism={"phi": [["a", "a"], ["b", "b"]],
+                         "f": [[mu, abelian_map(z4, z2, [["1"]])]
+                               for mu in "ab"]},
+               morphism2={"phi": [["c", "b"]],
+                          "f": [["c", abelian_map(z2, z4, [["2"]])]]})
+    path = write(tmp_path, doc, "chain3.json")
+    code, text = run(["compose", path, "--format", "structured"])
+    assert code == EXIT_POSITIVE
+    assert json.loads(text) == {"phi": [["c", "b"]],
+                                "f": [["c", abelian_map(z4, z4, [["2"]])]]}
 
 
 def test_demo_deterministic():
