@@ -416,38 +416,33 @@ def _column_hnf(generators: list, dim: int) -> tuple:
     return tuple(tuple(r) for r in rows[:pivot_row])
 
 
+def _span(ambient: Object, generators) -> Subobject:
+    """The subobject generated by the given elements (pointed sets) or
+    column vectors (abelian), joined with the basepoint or with the ambient
+    relations so that equal subobjects present equally."""
+    if isinstance(ambient, PointedFiniteSet):
+        return Subobject(ambient, tuple(sorted(set(generators) | {0})))
+    relations = [[e if j == i else 0 for j in range(ambient.rank)]
+                 for i, e in enumerate(ambient.factors) if e != 0]
+    return Subobject(ambient, _column_hnf(list(generators) + relations,
+                                          ambient.rank))
+
+
 def image_subobject(f: Morphism) -> Subobject:
     if isinstance(f, PointedMap):
-        return Subobject(f.target, tuple(sorted(set(f.images) | {0})))
-    T = f.target
-    cols = [list(f.matrix.col(j)) for j in range(f.matrix.cols)]
-    # join with the ambient relations so equal subgroups present equally
-    for i, e in enumerate(T.factors):
-        if e != 0:
-            rel = [0] * T.rank
-            rel[i] = e
-            cols.append(rel)
-    return Subobject(T, _column_hnf(cols, T.rank))
+        return _span(f.target, f.images)
+    return _span(f.target, [list(f.matrix.col(j)) for j in range(f.matrix.cols)])
 
 
 def trivial_subobject(ambient: Object) -> Subobject:
-    if isinstance(ambient, PointedFiniteSet):
-        return Subobject(ambient, (0,))
-    cols = []
-    for i, e in enumerate(ambient.factors):
-        if e != 0:
-            rel = [0] * ambient.rank
-            rel[i] = e
-            cols.append(rel)
-    return Subobject(ambient, _column_hnf(cols, ambient.rank))
+    return _span(ambient, [])
 
 
 def full_subobject(ambient: Object) -> Subobject:
     if isinstance(ambient, PointedFiniteSet):
-        return Subobject(ambient, tuple(range(ambient.size)))
-    cols = [[1 if i == j else 0 for i in range(ambient.rank)]
-            for j in range(ambient.rank)]
-    return Subobject(ambient, _column_hnf(cols, ambient.rank))
+        return _span(ambient, range(ambient.size))
+    return _span(ambient, [[1 if i == j else 0 for i in range(ambient.rank)]
+                           for j in range(ambient.rank)])
 
 
 def subobjects_equal(s1: Subobject, s2: Subobject) -> bool:

@@ -138,18 +138,28 @@ class HorizonError(ValueError):
 # shared machinery
 
 
-def _probe_lambda(f: SystemMorphism, mu, h: Horizon):
-    """The single probed movability-index candidate: the greatest element on
-    finite posets, lambda_max on sequences.  Sound because movability-type
-    indices are upward closed."""
-    x = f.source
-    if is_finite_index(x.index):
-        return x.index.greatest()
-    pm = f.phi(mu)
-    if pm > h.lambda_max:
+def _probe_lambda(x: InverseSystem, mu, pm, h: Horizon):
+    """The single probed movability-index candidate on the source x, for an
+    outer index mu whose probe must lie above pm = phi(mu): the greatest
+    element on finite posets, lambda_max on sequences.  Sound because
+    movability-type indices are upward closed."""
+    if not is_finite_index(x.index) and pm > h.lambda_max:
         raise HorizonError(
             f"phi({mu}) = {pm} exceeds lambda_max = {h.lambda_max}")
-    return h.lambda_max
+    return x.top(h.lambda_max)
+
+
+def _keys(z: InverseSystem, low, h: Horizon, finite: bool, uniform: bool,
+          name: str):
+    """(keys, certification limit, extra) of a search at index low of z:
+    every deeper in-range index, or the single key top, the greatest
+    in-range index, which must lie above low."""
+    if not uniform:
+        return z.index.above(low, limit=h.muprime_max), h.muprime_max, {}
+    top = z.top(h.cone_max)
+    if not finite and not z.index.leq(low, top):
+        raise HorizonError(f"cone depth {h.cone_max} is below {name} = {low}")
+    return [top], h.cone_max, {"cone_top": top}
 
 
 def _first_zero(candidates, morphism_at):
@@ -248,16 +258,9 @@ def _search_mu(f: SystemMorphism, mu, h: Horizon, co: bool, kind: str,
         # lambda* >= lam and >= the least index R_k is defined at
         return x.index.above(lam, k if co else f.phi(k), limit=h.lambda_max)
 
-    lam = _probe_lambda(f, mu, h)
-    if kind == _UNIFORM:
-        top = z.top(h.cone_max)
-        if not finite and not z.index.leq(low, top):
-            raise HorizonError(f"cone depth {h.cone_max} is below "
-                               f"{'phi(mu)' if co else 'mu'} = {low}")
-        keys, limit, extra = [top], h.cone_max, {"cone_top": top}
-    else:
-        limit = h.muprime_max
-        keys, extra = z.index.above(low, limit=limit), {}
+    lam = _probe_lambda(x, mu, f.phi(mu), h)
+    keys, limit, extra = _keys(z, low, h, finite, kind == _UNIFORM,
+                               "phi(mu)" if co else "mu")
 
     # zero-map rule: f_{mu zlam} = 0 is solved by the zero witness at every key
     zlam = None
@@ -471,86 +474,50 @@ def _relabel(v: Verdict, prop: str) -> Verdict:
 def c0_movable_system(x: InverseSystem, c0_objects, h: Horizon = Horizon()) -> Verdict:
     """Movability tested only against probes h : X0 -> X_{lambda'} with X0
     drawn from the given finite objects."""
-    finite = is_finite_index(x.index)
-    if not c0_objects:
-        return Verdict("c0_movable_system",
-                       HOLDS if finite else HOLDS_STABILIZED,
-                       notes=["vacuous: empty probe class"],
-                       horizon=h, witnesses=[],
-                       refutation=None)
-    solve = _solver()
-    per_mu = []
-    for lam in x.index.above(limit=h.mu_max):
-        probe = x.top(h.lambda_max)
-        rec = WitnessRecord(lam, probe, None)
-        failed = None
-        zero_probe = is_zero_morphism(x.bond(lam, probe))
-        for lam2 in x.index.above(lam, limit=h.muprime_max):
-            for x0 in c0_objects:
-                for hm in cat.enumerate_homs(x0, x.object_at(probe)):
-                    r = solve(x0, x.object_at(lam2),
-                              [Constraint("left", x.bond(lam, lam2),
-                                          compose(x.bond(lam, probe), hm))])
-                    if r is None:
-                        failed = Refutation(lam, probe, lam2,
-                                            "no relative movability witness")
-                        break
-                if failed:
-                    break
-            if failed:
-                break
-        if failed is not None:
-            per_mu.append((_FAILED, failed))
-        elif not finite and zero_probe:
-            rec.rule = "zero-map"
-            per_mu.append((_CERTIFIED, rec))
-        elif not finite and _periodic_covered(x, h.muprime_max):
-            rec.rule = "eventual-periodicity"
-            per_mu.append((_CERTIFIED, rec))
-        else:
-            per_mu.append((_EXACT if finite else _AT_HORIZON, rec))
-    return _assemble("c0_movable_system", per_mu, h, finite)
+    return _c0_search("c0_movable_system", x, c0_objects, h, uniform=False)
 
 
 def c0_uniformly_movable_system(x: InverseSystem, c0_objects,
                                 h: Horizon = Horizon()) -> Verdict:
     """Uniform variant: the relative witness is a cone into the whole system."""
+    return _c0_search("c0_uniformly_movable_system", x, c0_objects, h, uniform=True)
+
+
+def _c0_search(prop: str, x: InverseSystem, c0_objects, h: Horizon,
+               uniform: bool) -> Verdict:
+    """For each mu and each probe hm : X0 -> X_lambda, a witness r with
+    q_{mu k} o r = q_{mu lambda} o hm at every key k: each deeper index, or
+    the single cone top."""
     finite = is_finite_index(x.index)
     if not c0_objects:
-        return Verdict("c0_uniformly_movable_system",
-                       HOLDS if finite else HOLDS_STABILIZED,
-                       notes=["vacuous: empty probe class"],
-                       horizon=h, witnesses=[], refutation=None)
+        return _assemble(prop, [], h, finite, notes=["vacuous: empty probe class"])
     solve = _solver()
     per_mu = []
-    for lam in x.index.above(limit=h.mu_max):
-        probe = x.top(h.lambda_max)
-        top = x.top(h.cone_max)
-        rec = WitnessRecord(lam, probe, None, extra={"cone_top": top})
-        failed = None
-        zero_probe = is_zero_morphism(x.bond(lam, probe))
-        for x0 in c0_objects:
-            for hm in cat.enumerate_homs(x0, x.object_at(probe)):
-                r_top = solve(x0, x.object_at(top),
-                              [Constraint("left", x.bond(lam, top),
-                                          compose(x.bond(lam, probe), hm))])
-                if r_top is None:
-                    failed = Refutation(lam, probe, top,
-                                        "no relative cone top-leg")
-                    break
-            if failed:
-                break
+    for mu in x.index.above(limit=h.mu_max):
+        probe = _probe_lambda(x, mu, mu, h)
+        keys, limit, extra = _keys(x, mu, h, finite, uniform, "mu")
+        rec = WitnessRecord(mu, probe, None, extra=extra)
+        q_probe = x.bond(mu, probe)
+        reason = ("no relative cone top-leg" if uniform
+                  else "no relative movability witness")
+        # the first unsolvable (key, x0, hm), in that order, refutes mu
+        failed = next((Refutation(mu, probe, k, reason)
+                       for k in keys for x0 in c0_objects
+                       for hm in cat.enumerate_homs(x0, x.object_at(probe))
+                       if solve(x0, x.object_at(k), [Constraint(
+                           "left", x.bond(mu, k), compose(q_probe, hm))]) is None),
+                      None)
         if failed is not None:
             per_mu.append((_FAILED, failed))
-        elif not finite and zero_probe:
+        elif not finite and is_zero_morphism(q_probe):
             rec.rule = "zero-map"
             per_mu.append((_CERTIFIED, rec))
-        elif not finite and _periodic_covered(x, h.cone_max):
+        elif not finite and _periodic_covered(x, limit):
             rec.rule = "eventual-periodicity"
             per_mu.append((_CERTIFIED, rec))
         else:
             per_mu.append((_EXACT if finite else _AT_HORIZON, rec))
-    return _assemble("c0_uniformly_movable_system", per_mu, h, finite)
+    return _assemble(prop, per_mu, h, finite)
 
 
 # ---------------------------------------------------------------------------

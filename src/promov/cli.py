@@ -25,9 +25,10 @@ from .categories import (
     FgAbelianObject,
     PointedFiniteSet,
     PointedMap,
+    identity,
 )
 from .checkers import Horizon, Refutation, Verdict, WitnessRecord
-from .indexsets import FiniteDirectedPoset, IndexMap, validate_poset
+from .indexsets import FiniteDirectedPoset, IndexMap, is_finite_index, validate_poset
 from .intlinalg import IntMatrix
 from .oracle import OracleCapExceeded, OracleInputError, oracle_check
 from .systems import (
@@ -115,8 +116,27 @@ def morphism_from_dict(d: dict):
 # system / morphism documents
 
 
+def _index_doc(doc) -> dict:
+    index = doc.get("index", {}) if isinstance(doc, dict) else None
+    if not isinstance(index, dict):
+        raise DocumentError("a system document is an object whose 'index' "
+                            "is an object")
+    return index
+
+
+def _build_family(doc: dict, seed_override):
+    """What the family named by a nat-index document builds: a system or
+    an (F, G, f) triple."""
+    return fam.build_family(fam.FamilySpec(
+        doc.get("family", ""),
+        tuple(sorted((k, _dec_int(v))
+                     for k, v in doc.get("params", {}).items())),
+        seed_override if seed_override is not None
+        else _dec_int(doc.get("seed", 0))))
+
+
 def system_from_dict(doc: dict, seed_override=None) -> InverseSystem:
-    index = doc.get("index", {})
+    index = _index_doc(doc)
     kind = index.get("kind")
     if kind == "finite":
         poset = FiniteDirectedPoset.from_pairs(
@@ -131,7 +151,7 @@ def system_from_dict(doc: dict, seed_override=None) -> InverseSystem:
         for lo, hi, mspec in doc["bonds"]:
             bonds[(lo, hi)] = morphism_from_dict(mspec)
         for a in poset.members():
-            bonds.setdefault((a, a), _identity_of(objects[a]))
+            bonds.setdefault((a, a), identity(objects[a]))
             for b in poset.members():
                 if a != b and poset.leq(a, b) and (a, b) not in bonds:
                     raise DocumentError(f"missing bond for pair ({a!r}, {b!r})")
@@ -139,24 +159,13 @@ def system_from_dict(doc: dict, seed_override=None) -> InverseSystem:
         return InverseSystem(poset, objects=objects, bonds=bonds, flags=flags,
                              name=doc.get("name", "document"))
     if kind == "nat":
-        spec = fam.FamilySpec(
-            doc.get("family", ""),
-            tuple(sorted((k, _dec_int(v))
-                         for k, v in doc.get("params", {}).items())),
-            seed_override if seed_override is not None
-            else _dec_int(doc.get("seed", 0)))
-        built = fam.build_family(spec)
+        built = _build_family(doc, seed_override)
         if isinstance(built, tuple):
             raise DocumentError(
-                f"family {spec.code!r} builds a morphism triple; "
+                f"family {doc.get('family', '')!r} builds a morphism triple; "
                 "use it at the top level, not as a bare system")
         return built
     raise DocumentError(f"unknown index kind {kind!r}")
-
-
-def _identity_of(obj):
-    from .categories import identity
-    return identity(obj)
 
 
 def _flags_from_dict(d: dict) -> SystemFlags:
@@ -169,15 +178,8 @@ def _flags_from_dict(d: dict) -> SystemFlags:
 def morphism_from_doc(doc: dict, seed_override=None) -> SystemMorphism:
     """The morphism a document denotes: an explicit {phi, f} table pair, a
     family-provided morphism, or the identity of the described system."""
-    index = doc.get("index", {})
-    if index.get("kind") == "nat" and "family" in doc:
-        spec = fam.FamilySpec(
-            doc["family"],
-            tuple(sorted((k, _dec_int(v))
-                         for k, v in doc.get("params", {}).items())),
-            seed_override if seed_override is not None
-            else _dec_int(doc.get("seed", 0)))
-        built = fam.build_family(spec)
+    if _index_doc(doc).get("kind") == "nat" and "family" in doc:
+        built = _build_family(doc, seed_override)
         if isinstance(built, tuple):
             F, G, f = built
             select = doc.get("select", "morphism")
@@ -194,6 +196,8 @@ def morphism_from_doc(doc: dict, seed_override=None) -> SystemMorphism:
         return identity_morphism(source)
     target = (system_from_dict(doc["target"], seed_override)
               if "target" in doc else source)
+    if not is_finite_index(target.index):
+        raise DocumentError("morphism tables need a finite target index poset")
     mdoc = doc["morphism"]
     phi_table = {mu: lam for mu, lam in mdoc["phi"]}
     f_table = {mu: morphism_from_dict(spec) for mu, spec in mdoc["f"]}
@@ -242,8 +246,7 @@ def _extra_to_json(extra: dict) -> list:
         elif isinstance(v, int):
             v = {"kind": "int", "value": _enc_int(v)}
         elif isinstance(v, (list, tuple)):
-            v = {"kind": "tuple", "value": json.loads(json.dumps(
-                _deep_listify(v)))}
+            v = {"kind": "tuple", "value": _deep_listify(v)}
         else:
             v = {"kind": "str", "value": str(v)}
         out.append([_key_to_json(k), v])
@@ -432,17 +435,10 @@ def cmd_compose(args, out) -> int:
     if "morphism2" not in doc:
         raise DocumentError("compose needs 'morphism' and 'morphism2'")
     f = morphism_from_doc(doc, args.seed)
-    doc2 = dict(doc)
-    doc2["morphism"] = doc["morphism2"]
+    # morphism2 runs out of the first morphism's target
+    doc2 = dict(doc.get("target", doc), morphism=doc["morphism2"])
     if "target2" in doc:
         doc2["target"] = doc["target2"]
-    # morphism2 runs out of the first morphism's target
-    if "target" in doc:
-        base = dict(doc["target"])
-        base["morphism"] = doc["morphism2"]
-        if "target2" in doc:
-            base["target"] = doc["target2"]
-        doc2 = base
     g = morphism_from_doc(doc2, args.seed)
     g = SystemMorphism(f.target, g.target, g.phi, g.f, name=g.name)
     h = compose_morphisms(g, f)

@@ -185,7 +185,6 @@ def random_finite_morphism(rng: random.Random, backend: str,
     kind = rng.randrange(4)
     x = source if source is not None else random_finite_system(rng, backend)
     poset = x.index
-    top = poset.greatest()
     if kind == 0:
         return identity_morphism(x)
     if kind == 1:
@@ -194,17 +193,26 @@ def random_finite_morphism(rng: random.Random, backend: str,
         return SystemMorphism(x, x, IndexMap.from_table(poset, poset, table),
                               lambda mu: x.bond(mu, table[mu]),
                               name="bond-restriction")
+    f = _top_anchored(rng, x, backend)
+    if kind == 2:
+        return f
+    h = random_finite_morphism(rng, backend, source=f.target)
+    return compose_morphisms(h, f)
+
+
+def _top_anchored(rng: random.Random, x: InverseSystem, backend: str,
+                  name: str = "top-anchored") -> SystemMorphism:
+    """A random target y over x's poset and f_mu = q_{mu,top} o g for one
+    random g : X_top -> Y_top, with phi constant at the top: coherent by
+    construction."""
+    poset = x.index
+    top = poset.greatest()
     shape = next(s for s in _POSET_SHAPES if s[1] == poset.members())
     y = random_finite_system(rng, backend, shape=shape)
     g = _random_hom(rng, x.object_at(top), y.object_at(top))
     table = {mu: top for mu in poset.members()}
-    f = SystemMorphism(x, y, IndexMap.from_table(poset, poset, table),
-                       lambda mu: compose(y.bond(mu, top), g),
-                       name="top-anchored")
-    if kind == 2:
-        return f
-    h = random_finite_morphism(rng, backend, source=y)
-    return compose_morphisms(h, f)
+    return SystemMorphism(x, y, IndexMap.from_table(poset, poset, table),
+                          lambda mu: compose(y.bond(mu, top), g), name=name)
 
 
 def finite_instance_corpus(seed: int, count: int, backend: str = None) -> list:
@@ -221,25 +229,23 @@ def finite_instance_corpus(seed: int, count: int, backend: str = None) -> list:
 # random eventually periodic sequences
 
 
-def _periodic_system(prefix_objects, cycle_objects, prefix_steps, cycle_steps,
+def _random_periodic(rng: random.Random, period: int, draw_object,
                      name: str) -> InverseSystem:
-    off = len(prefix_objects)
-    per = len(cycle_objects)
+    """Eventually periodic sequence flagged as such: a random offset, then
+    offset + period objects from draw_object() and one random step into each,
+    repeated with the given period past the offset."""
+    off = rng.randrange(3)
 
-    def object_rule(n):
-        if n < off:
-            return prefix_objects[n]
-        return cycle_objects[(n - off) % per]
+    def periodic(items):
+        return lambda n: items[n] if n < off else items[off + (n - off) % period]
 
-    def step_rule(n):
-        if n < off:
-            return prefix_steps[n]
-        return cycle_steps[(n - off) % per]
-
-    epi = all(cat.is_epimorphism(s) for s in list(prefix_steps) + list(cycle_steps))
-    return InverseSystem(NAT, object_rule=object_rule, step_rule=step_rule,
+    object_rule = periodic([draw_object() for _ in range(off + period)])
+    steps = [_random_hom(rng, object_rule(n + 1), object_rule(n))
+             for n in range(off + period)]
+    epi = all(cat.is_epimorphism(s) for s in steps)
+    return InverseSystem(NAT, object_rule=object_rule, step_rule=periodic(steps),
                          flags=SystemFlags(all_bondings_epimorphic=epi,
-                                           eventually_periodic=(off, per)),
+                                           eventually_periodic=(off, period)),
                          name=name)
 
 
@@ -247,33 +253,17 @@ def random_set_sequence(seed: int, period: int = 2,
                         max_size: int = 4) -> InverseSystem:
     """Eventually periodic pointed-set sequence with the periodicity flag."""
     rng = random.Random(seed)
-    off = rng.randrange(3)
-    sizes = [rng.randrange(1, max_size + 1) for _ in range(off + period)]
-    objs = [PointedFiniteSet(s) for s in sizes]
-
-    def obj_at(n):
-        return objs[n] if n < off else objs[off + (n - off) % period]
-
-    steps = [_random_hom(rng, obj_at(n + 1), obj_at(n))
-             for n in range(off + period)]
-    return _periodic_system(objs[:off], objs[off:], steps[:off], steps[off:],
-                            name=f"set-seq-{seed}")
+    return _random_periodic(
+        rng, period, lambda: PointedFiniteSet(rng.randrange(1, max_size + 1)),
+        f"set-seq-{seed}")
 
 
 def random_abelian_sequence(seed: int, period: int = 2) -> InverseSystem:
     """Eventually periodic sequence of small finite abelian groups."""
     rng = random.Random(seed)
-    off = rng.randrange(3)
-    objs = [FgAbelianObject(rng.choice(_ABELIAN_OBJECTS))
-            for _ in range(off + period)]
-
-    def obj_at(n):
-        return objs[n] if n < off else objs[off + (n - off) % period]
-
-    steps = [_random_hom(rng, obj_at(n + 1), obj_at(n))
-             for n in range(off + period)]
-    return _periodic_system(objs[:off], objs[off:], steps[:off], steps[off:],
-                            name=f"ab-seq-{seed}")
+    return _random_periodic(
+        rng, period, lambda: FgAbelianObject(rng.choice(_ABELIAN_OBJECTS)),
+        f"ab-seq-{seed}")
 
 
 def random_sequence_morphism(seed: int, backend: str = "abelian") -> SystemMorphism:
@@ -322,15 +312,7 @@ def bounded_phi_morphism(seed: int) -> SystemMorphism:
     rng = random.Random(seed)
     backend = "pointed_set" if seed % 2 else "abelian"
     x = random_finite_system(rng, backend)
-    poset = x.index
-    top = poset.greatest()
-    shape = next(s for s in _POSET_SHAPES if s[1] == poset.members())
-    y = random_finite_system(rng, backend, shape=shape)
-    g = _random_hom(rng, x.object_at(top), y.object_at(top))
-    table = {mu: top for mu in poset.members()}
-    return SystemMorphism(x, y, IndexMap.from_table(poset, poset, table),
-                          lambda mu: compose(y.bond(mu, top), g),
-                          name="bounded-phi")
+    return _top_anchored(rng, x, backend, name="bounded-phi")
 
 
 def perturb_equivalent(f: SystemMorphism, seed: int) -> SystemMorphism:
@@ -423,25 +405,7 @@ def cofinal_decreasing_phi_instance(seed: int) -> SystemMorphism:
     backend = "pointed_set" if seed % 2 else "abelian"
     shape = _POSET_SHAPES[rng.randrange(4)]  # a chain shape
     x = random_finite_system(rng, backend, shape=shape)
-    return _top_anchored(rng, x)
-
-
-def _top_anchored(rng: random.Random, x: InverseSystem) -> SystemMorphism:
-    poset = x.index
-    top = poset.greatest()
-    shape = next(s for s in _POSET_SHAPES if s[1] == poset.members())
-    y = random_finite_system(rng, _backend_name(x), shape=shape)
-    g = _random_hom(rng, x.object_at(top), y.object_at(top))
-    table = {mu: top for mu in poset.members()}
-    return SystemMorphism(x, y, IndexMap.from_table(poset, poset, table),
-                          lambda mu: compose(y.bond(mu, top), g),
-                          name="top-anchored")
-
-
-def _backend_name(x: InverseSystem) -> str:
-    first = x.object_at(x.index.members()[0]) if not x.is_sequence() \
-        else x.object_at(0)
-    return "pointed_set" if isinstance(first, PointedFiniteSet) else "abelian"
+    return _top_anchored(rng, x, backend)
 
 
 def build_family(spec: FamilySpec):

@@ -9,6 +9,7 @@ equation over the integers).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -51,7 +52,7 @@ class IntMatrix:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def col(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j::self.cols]
 
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -59,11 +60,12 @@ class IntMatrix:
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        cols = [other.col(j) for j in range(other.cols)]
         out = []
         for i in range(self.rows):
             ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.at(k, j) for k in range(self.cols)))
+            for cj in cols:
+                out.append(sum(map(operator.mul, ri, cj)))
         return IntMatrix(self.rows, other.cols, tuple(out))
 
     def mul_vector(self, v: Sequence[int]) -> list:

@@ -34,6 +34,7 @@ from promov.checkers import (
     strongly_movable_morphism,
     uniformly_co_movable_morphism,
     uniformly_movable_morphism,
+    uniformly_movable_system,
 )
 from promov.families import (
     constant_poset_system,
@@ -167,8 +168,11 @@ def test_horizon_too_small_for_phi():
 
 def test_c0_checks():
     F, G, f = example_2_27()
-    # empty probe class holds vacuously
-    assert c0_movable_system(G, [], H).is_certified()
+    # empty probe class holds vacuously, with the sequence disclaimer
+    for c0_check in (c0_movable_system, c0_uniformly_movable_system):
+        v = c0_check(G, [], H)
+        assert v.status == HOLDS_STABILIZED
+        assert v.notes == ["vacuous: empty probe class", checkers.HORIZON_DISCLAIMER]
     x = constant_poset_system(FiniteDirectedPoset.chain(("a", "b")), Z(4))
     assert c0_movable_system(x, [], H).status == HOLDS
     # small probes against the dyadic tower
@@ -181,6 +185,19 @@ def test_c0_checks():
     # a movable constant sequence stays relatively movable
     c = constant_system(PointedFiniteSet(3))
     assert c0_movable_system(c, [PointedFiniteSet(2)], H).is_positive()
+
+
+@pytest.mark.parametrize("system_check, c0_check, box", [
+    (movable_system, c0_movable_system, Horizon(lambda_max=4)),
+    (uniformly_movable_system, c0_uniformly_movable_system, Horizon(cone_max=3)),
+])
+def test_c0_box_too_small_is_refused(system_check, c0_check, box):
+    # a probe or cone top below mu is refused as by the plain system checks
+    G = example_2_27()[1]
+    with pytest.raises(HorizonError):
+        system_check(G, box)
+    with pytest.raises(HorizonError):
+        c0_check(G, [Z(2)], box)
 
 
 def test_unknown_property_rejected():

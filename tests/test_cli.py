@@ -117,6 +117,15 @@ def test_malformed_documents(tmp_path):
     doc["objects"]["a"] = {"kind": "mystery"}
     code, _ = run(["validate", write(tmp_path, doc, "badobj.json")])
     assert code == EXIT_PARSE
+    # explicit morphism tables into a sequence target (mixed index kinds)
+    doc = chain_doc()
+    doc.update(target={"index": {"kind": "nat"}, "family": "constant"},
+               morphism={"phi": [], "f": []})
+    code, _ = run(["check", "movable", write(tmp_path, doc, "mixed.json")])
+    assert code == EXIT_PARSE
+    code, _ = run(["check", "movable",
+                   write(tmp_path, {"index": "nat"}, "strindex.json")])
+    assert code == EXIT_PARSE
 
 
 def test_unknown_property_rejected_by_parser(tmp_path):
