@@ -26,7 +26,7 @@ class BackendError(ValueError):
 # finitely generated abelian groups
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FgAbelianObject:
     """Direct sum of cyclic groups; factor d means Z/d, with d = 0 meaning Z."""
 
@@ -57,7 +57,7 @@ def Z(n: int = 0) -> FgAbelianObject:
     return FgAbelianObject((n,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FgAbelianMorphism:
     source: FgAbelianObject
     target: FgAbelianObject
@@ -75,13 +75,8 @@ class FgAbelianMorphism:
 
     def reduced(self) -> "FgAbelianMorphism":
         """Entries reduced into canonical residues mod the target relations."""
-        ent = []
-        for i, e in enumerate(self.target.factors):
-            for j in range(self.source.rank):
-                v = self.matrix.at(i, j)
-                ent.append(v % e if e else v)
         return FgAbelianMorphism(self.source, self.target,
-                                 IntMatrix(self.matrix.rows, self.matrix.cols, tuple(ent)))
+                                 _reduce(self.matrix, self.target.factors))
 
     def is_zero(self) -> bool:
         for i, e in enumerate(self.target.factors):
@@ -90,6 +85,15 @@ class FgAbelianMorphism:
                 if (v % e if e else v) != 0:
                     return False
         return True
+
+
+def _reduce(matrix: IntMatrix, mods: tuple) -> IntMatrix:
+    """Row i reduced into canonical residues mod mods[i]; modulus 0 (a Z
+    summand) leaves its row as it is."""
+    c, ent = matrix.cols, matrix.entries
+    return IntMatrix(matrix.rows, c, tuple(
+        v % e if e else v
+        for i, e in enumerate(mods) for v in ent[i * c:(i + 1) * c]))
 
 
 def abelian_identity(obj: FgAbelianObject) -> FgAbelianMorphism:
@@ -111,7 +115,7 @@ def abelian_scalar(obj: FgAbelianObject, c: int) -> FgAbelianMorphism:
 # pointed finite sets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointedFiniteSet:
     """Elements are 0..size-1; element 0 is the basepoint."""
 
@@ -125,7 +129,7 @@ class PointedFiniteSet:
         return self.size == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointedMap:
     source: PointedFiniteSet
     target: PointedFiniteSet
@@ -186,7 +190,9 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     if g.source != f.target:
         raise BackendError("source/target mismatch in composition")
     if isinstance(g, FgAbelianMorphism):
-        return FgAbelianMorphism(f.source, g.target, g.matrix.mul(f.matrix)).reduced()
+        # reduced before it is built, so the composite is validated once
+        return FgAbelianMorphism(f.source, g.target,
+                                 _reduce(g.matrix.mul(f.matrix), g.target.factors))
     return PointedMap(f.source, g.target, tuple(g.images[v] for v in f.images))
 
 

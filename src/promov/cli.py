@@ -124,13 +124,22 @@ def _index_doc(doc) -> dict:
     return index
 
 
+def _object_field(doc: dict, key: str, default=None) -> dict:
+    """doc[key], refused unless it is an object; without a default a
+    missing key raises KeyError."""
+    value = doc[key] if default is None else doc.get(key, default)
+    if not isinstance(value, dict):
+        raise DocumentError(f"{key!r} must be an object")
+    return value
+
+
 def _build_family(doc: dict, seed_override):
     """What the family named by a nat-index document builds: a system or
     an (F, G, f) triple."""
     return fam.build_family(fam.FamilySpec(
         doc.get("family", ""),
         tuple(sorted((k, _dec_int(v))
-                     for k, v in doc.get("params", {}).items())),
+                     for k, v in _object_field(doc, "params", {}).items())),
         seed_override if seed_override is not None
         else _dec_int(doc.get("seed", 0))))
 
@@ -146,7 +155,7 @@ def system_from_dict(doc: dict, seed_override=None) -> InverseSystem:
         if problems:
             raise DocumentError("invalid index poset: " + "; ".join(problems))
         objects = {lam: object_from_dict(spec)
-                   for lam, spec in doc["objects"].items()}
+                   for lam, spec in _object_field(doc, "objects").items()}
         bonds = {}
         for lo, hi, mspec in doc["bonds"]:
             bonds[(lo, hi)] = morphism_from_dict(mspec)
@@ -155,7 +164,7 @@ def system_from_dict(doc: dict, seed_override=None) -> InverseSystem:
             for b in poset.members():
                 if a != b and poset.leq(a, b) and (a, b) not in bonds:
                     raise DocumentError(f"missing bond for pair ({a!r}, {b!r})")
-        flags = _flags_from_dict(doc.get("flags", {}))
+        flags = _flags_from_dict(_object_field(doc, "flags", {}))
         return InverseSystem(poset, objects=objects, bonds=bonds, flags=flags,
                              name=doc.get("name", "document"))
     if kind == "nat":
@@ -179,6 +188,11 @@ def morphism_from_doc(doc: dict, seed_override=None) -> SystemMorphism:
     """The morphism a document denotes: an explicit {phi, f} table pair, a
     family-provided morphism, or the identity of the described system."""
     if _index_doc(doc).get("kind") == "nat" and "family" in doc:
+        ignored = [key for key in ("target", "morphism") if key in doc]
+        if ignored:
+            raise DocumentError(
+                f"a family document builds its own morphism; it cannot also "
+                f"carry {' or '.join(map(repr, ignored))}")
         built = _build_family(doc, seed_override)
         if isinstance(built, tuple):
             F, G, f = built

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 
@@ -16,6 +16,7 @@ class FiniteDirectedPoset:
 
     elements: tuple
     leq_table: tuple  # tuple of tuples of bool
+    _pos: dict = field(init=False, repr=False, compare=False)  # label -> position
 
     def __post_init__(self):
         n = len(self.elements)
@@ -23,12 +24,20 @@ class FiniteDirectedPoset:
             raise ValueError("leq table shape must match element count")
         if len(set(self.elements)) != n:
             raise ValueError("element labels must be distinct")
+        object.__setattr__(self, "_pos", {a: i for i, a in enumerate(self.elements)})
 
     def index_of(self, a) -> int:
-        return self.elements.index(a)
+        try:
+            return self._pos[a]
+        except KeyError:
+            raise ValueError(f"{a!r} is not an element of the poset") from None
 
     def leq(self, a, b) -> bool:
-        return self.leq_table[self.index_of(a)][self.index_of(b)]
+        pos = self._pos
+        try:
+            return self.leq_table[pos[a]][pos[b]]
+        except KeyError:
+            raise ValueError(f"({a!r}, {b!r}) are not both elements of the poset") from None
 
     def members(self) -> tuple:
         return self.elements

@@ -3,7 +3,8 @@
 Finite-poset systems carry full bond tables and are checked exactly.
 Sequence systems (over the natural-number chain) carry generator rules for
 objects and step bonds; composite bonds are derived and cached, and all
-judgments about them are horizon-bounded.
+judgments about them are horizon-bounded.  A system morphism caches its
+restrictions f_{mu lam} the same way: each is composed once per morphism.
 """
 
 from __future__ import annotations
@@ -112,6 +113,7 @@ class SystemMorphism:
         self.phi = phi
         self._component = component
         self.name = name
+        self._restrictions = {}  # (mu, lam) -> f_{mu lam}, filled by restrict
 
     def f(self, mu) -> Morphism:
         return self._component(mu)
@@ -203,11 +205,18 @@ def validate_system(x: InverseSystem, horizon: int = 8) -> list:
 
 
 def restrict(f: SystemMorphism, mu, lam) -> Morphism:
-    """f_{mu lam} = f_mu o p_{phi(mu) lam}, defined for lam >= phi(mu)."""
-    pm = f.phi(mu)
-    if not f.source.index.leq(pm, lam):
-        raise ValueError(f"restriction index {lam!r} is not >= phi({mu!r}) = {pm!r}")
-    return compose(f.f(mu), f.source.bond(pm, lam))
+    """f_{mu lam} = f_mu o p_{phi(mu) lam}, defined for lam >= phi(mu).
+
+    Composed once per morphism and cached on it, like the source's bonds;
+    a lam below phi(mu) raises ValueError and caches nothing."""
+    table = f._restrictions
+    r = table.get((mu, lam))
+    if r is None:
+        pm = f.phi(mu)
+        if not f.source.index.leq(pm, lam):
+            raise ValueError(f"restriction index {lam!r} is not >= phi({mu!r}) = {pm!r}")
+        r = table[(mu, lam)] = compose(f.f(mu), f.source.bond(pm, lam))
+    return r
 
 
 def validate_morphism(f: SystemMorphism, horizon: int = 8,

@@ -3,6 +3,7 @@
 import random
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,49 @@ def test_compose_and_equality():
     a = FgAbelianMorphism(Z(0), Z(2), IntMatrix.from_rows([[1]]))
     b = FgAbelianMorphism(Z(0), Z(2), IntMatrix.from_rows([[3]]))
     assert morphisms_equal(a, b)
+
+
+def _random_abelian_hom(rng, a, b):
+    """A random well-defined a -> b with unreduced, possibly negative
+    entries; Z summands (factor 0) included."""
+    ent = []
+    for e in b.factors:
+        for d in a.factors:
+            if e == 0:
+                ent.append(rng.randrange(-9, 10) if d == 0 else 0)
+            else:
+                step = 1 if d == 0 else e // gcd(d, e)
+                ent.append(step * rng.randrange(-3 * e, 3 * e + 1))
+    return FgAbelianMorphism(a, b, IntMatrix(b.rank, a.rank, tuple(ent)))
+
+
+def test_compose_matches_reduced_product():
+    rng = random.Random(7)
+    pool = [(0,), (2,), (4,), (6,), (0, 3), (2, 0), (4, 6), (0, 0), (9, 2, 0)]
+    for _ in range(300):
+        a, b, c = (FgAbelianObject(rng.choice(pool)) for _ in range(3))
+        f, g = _random_abelian_hom(rng, a, b), _random_abelian_hom(rng, b, c)
+        got = compose(g, f)
+        assert got == FgAbelianMorphism(a, c, g.matrix.mul(f.matrix)).reduced()
+        # and the product entry by entry, reduced mod the target factor
+        for i, e in enumerate(c.factors):
+            for j in range(a.rank):
+                v = sum(g.matrix.at(i, k) * f.matrix.at(k, j) for k in range(b.rank))
+                assert got.matrix.at(i, j) == (v % e if e else v)
+
+
+def test_compose_refuses_mismatched_endpoints():
+    with pytest.raises(BackendError):
+        compose(reduction(Z(4), Z(2)), abelian_identity(Z(8)))
+    with pytest.raises(BackendError):
+        compose(abelian_identity(Z(2)), pointed_identity(PointedFiniteSet(2)))
+
+
+def test_value_classes_carry_no_instance_dict():
+    # restrictions are cached per morphism; slotted values keep that small
+    for v in (Z(2), abelian_identity(Z(2)), PointedFiniteSet(2),
+              pointed_identity(PointedFiniteSet(2)), IntMatrix.identity(1)):
+        assert not hasattr(v, "__dict__")
 
 
 def test_zero_and_epi():

@@ -126,6 +126,23 @@ def test_malformed_documents(tmp_path):
     code, _ = run(["check", "movable",
                    write(tmp_path, {"index": "nat"}, "strindex.json")])
     assert code == EXIT_PARSE
+    # tables next to a family would be ignored: the family builds the morphism
+    one = {"index": {"kind": "finite", "elements": ["a"], "pairs": []},
+           "objects": {"a": abelian(4)}, "bonds": []}
+    doc = {"index": {"kind": "nat"}, "family": "constant",
+           "params": {"modulus": "4"}, "target": one,
+           "morphism": {"phi": [["a", "0"]], "f": []}}
+    code, _ = run(["check", "movable", write(tmp_path, doc, "famtables.json")])
+    assert code == EXIT_PARSE
+    # fields that must be objects
+    bad_fields = [
+        {"index": {"kind": "nat"}, "family": "constant", "params": []},
+        dict(chain_doc(), objects=[]),
+        dict(chain_doc(), flags=[]),
+    ]
+    for k, doc in enumerate(bad_fields):
+        code, _ = run(["check", "movable", write(tmp_path, doc, f"field{k}.json")])
+        assert code == EXIT_PARSE
 
 
 def test_unknown_property_rejected_by_parser(tmp_path):

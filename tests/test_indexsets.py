@@ -19,6 +19,19 @@ def test_chain_construction():
     assert validate_poset(p) == []
 
 
+def test_label_lookup():
+    p = FiniteDirectedPoset.chain(("a", "b", "c"))
+    assert [p.index_of(x) for x in "abc"] == [0, 1, 2]
+    # the position map is derived state: equal tables are equal posets
+    assert p == FiniteDirectedPoset.from_pairs("abc", [("a", "b"), ("b", "c")])
+    assert hash(p) == hash(FiniteDirectedPoset.chain("abc"))
+    assert "_pos" not in repr(p)
+    with pytest.raises(ValueError):
+        p.index_of("z")
+    with pytest.raises(ValueError):
+        p.leq("a", "z")
+
+
 def test_from_pairs_closure():
     p = FiniteDirectedPoset.from_pairs(("x", "y", "z"), [("x", "y"), ("y", "z")])
     assert p.leq("x", "z")  # transitive closure

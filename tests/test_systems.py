@@ -11,6 +11,7 @@ from promov.categories import (
     morphisms_equal,
     identity,
 )
+from promov import systems
 from promov.families import example_2_27, constant_system, rudimentary
 from promov.indexsets import NAT, FiniteDirectedPoset, IndexMap
 from promov.systems import (
@@ -94,6 +95,27 @@ def test_restrict_requires_comparable_index():
     F, G, f = example_2_27()
     with pytest.raises(ValueError):
         restrict(f, 5, 3)
+    # a refused index is not cached: the second call is refused too
+    with pytest.raises(ValueError):
+        restrict(f, 5, 3)
+
+
+def test_restrictions_are_cached_per_morphism(monkeypatch):
+    F, G, f = example_2_27()
+    F.bond(f.phi(2), 6)  # warm the bond cache, so only restrictions compose
+    composed = []
+    real = systems.compose
+    monkeypatch.setattr(systems, "compose",
+                        lambda g, h: composed.append((g, h)) or real(g, h))
+    first = restrict(f, 2, 6)
+    assert len(composed) == 1
+    assert restrict(f, 2, 6) is first and len(composed) == 1
+    # an equal morphism over the same systems keeps its own table
+    twin = SystemMorphism(F, G, f.phi, f.f)
+    second = restrict(twin, 2, 6)
+    assert second is not first and len(composed) == 2
+    assert morphisms_equal(second, first)
+    assert restrict(f, 2, 6) is first
 
 
 def test_composition_formula():
