@@ -74,11 +74,13 @@ def object_to_dict(obj) -> dict:
 
 
 def object_from_dict(d: dict):
+    _typed(d, dict, "an object spec")
     kind = d.get("kind")
     if kind == "pointed_set":
         return PointedFiniteSet(_dec_int(d["size"]))
     if kind == "abelian":
-        return FgAbelianObject(tuple(_dec_int(x) for x in d["factors"]))
+        return FgAbelianObject(tuple(_dec_int(x)
+                                     for x in _field(d, "factors", list)))
     raise DocumentError(f"unknown object kind {kind!r}")
 
 
@@ -97,13 +99,16 @@ def morphism_to_dict(m) -> dict:
 
 
 def morphism_from_dict(d: dict):
+    _typed(d, dict, "a morphism spec")
     kind = d.get("kind")
     src = object_from_dict(d["source"])
     tgt = object_from_dict(d["target"])
     if kind == "pointed_map":
-        return PointedMap(src, tgt, tuple(_dec_int(i) for i in d["images"]))
+        return PointedMap(src, tgt, tuple(_dec_int(i)
+                                          for i in _field(d, "images", list)))
     if kind == "abelian_map":
-        rows = [[_dec_int(x) for x in row] for row in d["matrix"]]
+        rows = [[_dec_int(x) for x in _typed(row, list, "a matrix row")]
+                for row in _field(d, "matrix", list)]
         if not rows:
             matrix = IntMatrix(0, src.rank, ())
         else:
@@ -124,13 +129,31 @@ def _index_doc(doc) -> dict:
     return index
 
 
-def _object_field(doc: dict, key: str, default=None) -> dict:
-    """doc[key], refused unless it is an object; without a default a
-    missing key raises KeyError."""
-    value = doc[key] if default is None else doc.get(key, default)
-    if not isinstance(value, dict):
-        raise DocumentError(f"{key!r} must be an object")
+def _typed(value, kind: type, what: str):
+    """value, refused unless it is a ``kind``: dict (a JSON object) or list.
+    A str is not read as a list of characters."""
+    if not isinstance(value, kind):
+        raise DocumentError(
+            f"{what} must be {'an object' if kind is dict else 'a list'}, "
+            f"not {type(value).__name__}")
     return value
+
+
+def _field(doc: dict, key: str, kind: type = dict, default=None):
+    """doc[key], refused unless it is a ``kind``; without a default a
+    missing key raises KeyError."""
+    return _typed(doc[key] if default is None else doc.get(key, default),
+                  kind, repr(key))
+
+
+def _table(doc: dict, key: str, width: int, default=None) -> list:
+    """doc[key], refused unless it is a list of ``width``-entry lists."""
+    rows = _field(doc, key, list, default)
+    for row in rows:
+        if len(_typed(row, list, f"an entry of {key!r}")) != width:
+            raise DocumentError(
+                f"each entry of {key!r} has {width} items, not {len(row)}")
+    return rows
 
 
 def _build_family(doc: dict, seed_override):
@@ -139,7 +162,7 @@ def _build_family(doc: dict, seed_override):
     return fam.build_family(fam.FamilySpec(
         doc.get("family", ""),
         tuple(sorted((k, _dec_int(v))
-                     for k, v in _object_field(doc, "params", {}).items())),
+                     for k, v in _field(doc, "params", dict, {}).items())),
         seed_override if seed_override is not None
         else _dec_int(doc.get("seed", 0))))
 
@@ -149,22 +172,22 @@ def system_from_dict(doc: dict, seed_override=None) -> InverseSystem:
     kind = index.get("kind")
     if kind == "finite":
         poset = FiniteDirectedPoset.from_pairs(
-            tuple(index["elements"]),
-            [tuple(p) for p in index.get("pairs", [])])
+            tuple(_field(index, "elements", list)),
+            [tuple(p) for p in _table(index, "pairs", 2, [])])
         problems = validate_poset(poset)
         if problems:
             raise DocumentError("invalid index poset: " + "; ".join(problems))
         objects = {lam: object_from_dict(spec)
-                   for lam, spec in _object_field(doc, "objects").items()}
+                   for lam, spec in _field(doc, "objects").items()}
         bonds = {}
-        for lo, hi, mspec in doc["bonds"]:
+        for lo, hi, mspec in _table(doc, "bonds", 3):
             bonds[(lo, hi)] = morphism_from_dict(mspec)
         for a in poset.members():
             bonds.setdefault((a, a), identity(objects[a]))
             for b in poset.members():
                 if a != b and poset.leq(a, b) and (a, b) not in bonds:
                     raise DocumentError(f"missing bond for pair ({a!r}, {b!r})")
-        flags = _flags_from_dict(_object_field(doc, "flags", {}))
+        flags = _flags_from_dict(_field(doc, "flags", dict, {}))
         return InverseSystem(poset, objects=objects, bonds=bonds, flags=flags,
                              name=doc.get("name", "document"))
     if kind == "nat":
@@ -179,9 +202,11 @@ def system_from_dict(doc: dict, seed_override=None) -> InverseSystem:
 
 def _flags_from_dict(d: dict) -> SystemFlags:
     ep = d.get("eventually_periodic")
+    if ep:
+        ep = tuple(_dec_int(x) for x in _field(d, "eventually_periodic", list))
     return SystemFlags(
         all_bondings_epimorphic=bool(d.get("all_bondings_epimorphic", False)),
-        eventually_periodic=tuple(_dec_int(x) for x in ep) if ep else None)
+        eventually_periodic=ep or None)
 
 
 def morphism_from_doc(doc: dict, seed_override=None) -> SystemMorphism:
@@ -212,9 +237,9 @@ def morphism_from_doc(doc: dict, seed_override=None) -> SystemMorphism:
               if "target" in doc else source)
     if not is_finite_index(target.index):
         raise DocumentError("morphism tables need a finite target index poset")
-    mdoc = doc["morphism"]
-    phi_table = {mu: lam for mu, lam in mdoc["phi"]}
-    f_table = {mu: morphism_from_dict(spec) for mu, spec in mdoc["f"]}
+    mdoc = _field(doc, "morphism")
+    phi_table = {mu: lam for mu, lam in _table(mdoc, "phi", 2)}
+    f_table = {mu: morphism_from_dict(spec) for mu, spec in _table(mdoc, "f", 2)}
     missing = [mu for mu in target.index.members()
                if mu not in phi_table or mu not in f_table]
     if missing:
@@ -401,10 +426,50 @@ def exit_code_for(v: Verdict) -> int:
     return EXIT_INCONCLUSIVE
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _encode(o, pad: str) -> str:
+    """o as ``json.dumps(o, indent=2, sort_keys=True)`` writes it when o
+    starts at indentation ``pad``.  Plain str, list, tuple and str-keyed
+    dict are written here; every other value goes through ``json.dumps``
+    itself, re-indented (json escapes every newline inside a string, so
+    each newline in its output starts a line)."""
+    t = type(o)
+    if t is str:
+        return _quote(o)
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = pad + "  "
+        return ("[\n" + inner
+                + (",\n" + inner).join([_encode(x, inner) for x in o])
+                + "\n" + pad + "]")
+    if t is dict and o:
+        inner = pad + "  "
+        try:
+            items = [_quote(k) + ": " + _encode(o[k], inner) for k in sorted(o)]
+        except TypeError:  # a non-str key, which json.dumps converts, or
+            pass           # a value it refuses, which it raises for again
+        else:
+            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if o is None:
+        return "null"
+    return json.dumps(o, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
+def _write_json(obj, out):
+    """Writes obj and a newline, byte for byte as ``json.dump(obj, out,
+    indent=2, sort_keys=True)`` followed by ``out.write("\\n")`` would, with
+    one write for the document.  (With ``indent`` set, ``json`` runs its
+    pure-Python encoder, which makes one write per token.)"""
+    out.write(_encode(obj, ""))
+    out.write("\n")
+
+
 def _emit(v: Verdict, fmt: str, out):
     if fmt == "structured":
-        json.dump(verdict_to_dict(v), out, indent=2, sort_keys=True)
-        out.write("\n")
+        _write_json(verdict_to_dict(v), out)
     else:
         out.write(format_verdict_text(v) + "\n")
 
@@ -463,8 +528,7 @@ def cmd_compose(args, out) -> int:
               for nu in h.target.index.members()],
     }
     if args.format == "structured":
-        json.dump(report, out, indent=2, sort_keys=True)
-        out.write("\n")
+        _write_json(report, out)
     else:
         for nu in h.target.index.members():
             out.write(f"nu={nu}: phi={h.phi(nu)} "
@@ -503,9 +567,7 @@ def cmd_demo(args, out) -> int:
               "movable system (Z/2^n)",
               "mittag-leffler, identity of (Z/2^n)"]
     if args.format == "structured":
-        json.dump([verdict_to_dict(v) for v in verdicts], out, indent=2,
-                  sort_keys=True)
-        out.write("\n")
+        _write_json([verdict_to_dict(v) for v in verdicts], out)
     else:
         for label, v in zip(labels, verdicts):
             out.write(f"== {label} ==\n")

@@ -4,18 +4,24 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promov.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_NEGATIVE,
     EXIT_PARSE,
     EXIT_POSITIVE,
+    DocumentError,
+    _write_json,
     main,
+    object_from_dict,
     verdict_from_dict,
     verdict_to_dict,
 )
-from promov.checkers import Horizon, movable_morphism
-from promov.families import example_2_27
+from promov.checkers import PROPERTIES, Horizon, check, movable_morphism
+from promov.families import example_2_27, finite_instance_corpus
+from promov.systems import identity_morphism
 
 
 def run(argv):
@@ -215,3 +221,123 @@ def test_cone_depth_below_mu_exits_2(tmp_path, prop):
     path = write(tmp_path, family_doc())
     code, text = run(["check", prop, path, "--cone-depth", "3"])
     assert code == EXIT_PARSE and text == ""
+
+
+# ---------------------------------------------------------------------------
+# structured output: exactly json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def json_dumps_lines(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def assert_writes_like_json_dumps(writer, objs):
+    for obj in objs:
+        out = io.StringIO()
+        writer(obj, out)
+        assert out.getvalue() == json_dumps_lines(obj)
+
+
+_awkward_text = st.text(st.characters() | st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "é", "\U0001f600"]))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | _awkward_text,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_awkward_text, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_values)
+def test_write_json_matches_json_dumps(obj):
+    assert_writes_like_json_dumps(_write_json, [obj])
+
+
+def pinned_verdict_dicts():
+    """verdict_to_dict of a finite corpus slice and of example 2.27 at the
+    two horizons the structured-output pin uses."""
+    for f in finite_instance_corpus(7, 120)[:40]:
+        for prop in PROPERTIES:
+            yield verdict_to_dict(check(prop, f, Horizon()))
+    for h in (Horizon(), Horizon(10, 30, 31, 31)):
+        F, G, f = example_2_27()
+        for m in (f, identity_morphism(F), identity_morphism(G)):
+            for prop in PROPERTIES:
+                yield verdict_to_dict(check(prop, m, h))
+
+
+def test_write_json_matches_json_dumps_on_verdicts():
+    assert_writes_like_json_dumps(_write_json, pinned_verdict_dicts())
+
+
+def test_byte_identity_check_catches_a_separator_slip():
+    def slipped(obj, out):
+        out.write(json.dumps(obj, indent=2, sort_keys=True,
+                             separators=(",", ":  ")) + "\n")
+    with pytest.raises(AssertionError):
+        assert_writes_like_json_dumps(slipped, pinned_verdict_dicts())
+
+
+def test_structured_stdout_is_json_dumps(tmp_path):
+    z4 = abelian(4)
+    ident = abelian_map(z4, z4, [["1"]])
+    doc = chain_doc()
+    doc["morphism"] = doc["morphism2"] = {"phi": [["a", "a"], ["b", "b"]],
+                                          "f": [["a", ident], ["b", ident]]}
+    for argv in (["demo", "--format", "structured"],
+                 ["compose", write(tmp_path, doc), "--format", "structured"]):
+        code, text = run(argv)
+        assert code == EXIT_POSITIVE
+        assert text == json_dumps_lines(json.loads(text))
+
+
+# ---------------------------------------------------------------------------
+# malformed documents are refused with exit 2 and a named message
+
+
+def test_string_factors_are_refused():
+    with pytest.raises(DocumentError, match="'factors' must be a list"):
+        object_from_dict({"kind": "abelian", "factors": "12"})
+
+
+def _with(**changes):
+    return dict(chain_doc(), **changes)
+
+
+MALFORMED = {
+    "object spec is a list": (
+        _with(objects={"a": [], "b": abelian(4)}),
+        "an object spec must be an object"),
+    "string factors": (
+        _with(objects={"a": {"kind": "abelian", "factors": "12"},
+                       "b": abelian(4)}),
+        "'factors' must be a list"),
+    "bond spec is a list": (
+        _with(bonds=[["a", "b", []]]), "a morphism spec must be an object"),
+    "morphism is a list": (_with(morphism=[]), "'morphism' must be an object"),
+    "phi is a number": (
+        _with(morphism={"phi": 3, "f": []}), "'phi' must be a list"),
+    "elements is a number": (
+        _with(index={"kind": "finite", "elements": 3}),
+        "'elements' must be a list"),
+    "pair is a string": (
+        _with(index={"kind": "finite", "elements": ["a", "b"],
+                     "pairs": ["ab"]}),
+        "an entry of 'pairs' must be a list"),
+    "matrix row is a string": (
+        _with(bonds=[["a", "b", dict(abelian_map(abelian(4), abelian(4),
+                                                 [["1"]]), matrix=["1"])]]),
+        "a matrix row must be a list"),
+    "periodicity flag is a string": (
+        _with(flags={"eventually_periodic": "12"}),
+        "'eventually_periodic' must be a list"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_document_exits_2(tmp_path, capsys, case):
+    doc, message = MALFORMED[case]
+    code, text = run(["check", "movable", write(tmp_path, doc)])
+    assert code == EXIT_PARSE and text == ""
+    assert message in capsys.readouterr().err
