@@ -277,12 +277,10 @@ def solve_factorization(p: FactorizationProblem) -> Optional[Morphism]:
 
 def _solve_abelian(p: FactorizationProblem) -> Optional[FgAbelianMorphism]:
     S, T = p.source, p.target
-    nvars = T.rank * S.rank  # x[i][j] row-major
-
-    def var(i, j):
-        return i * S.rank + j
-
-    rows, rhs, mods = [], [], []
+    s = S.rank
+    nvars = T.rank * s  # x[i][j] row-major at i * s + j
+    # the congruence system, one row of nvars entries at a time
+    flat, rhs, mods = [], [], []
 
     # well-definedness of u itself
     for i, e in enumerate(T.factors):
@@ -290,39 +288,38 @@ def _solve_abelian(p: FactorizationProblem) -> Optional[FgAbelianMorphism]:
             if d == 0:
                 continue
             row = [0] * nvars
-            row[var(i, j)] = d
-            rows.append(row)
+            row[i * s + j] = d
+            flat += row
             rhs.append(0)
             mods.append(e)
 
     for c in p.constraints:
         if c.side == "left":
-            # L o u = R with L: T -> W, R: S -> W
-            W = c.L.target
-            for a, w in enumerate(W.factors):
-                for j in range(S.rank):
+            # L o u = R with L: T -> W, R: S -> W; row (a, j) holds L[a][i]
+            # at x[i][j] for every i
+            for a, w in enumerate(c.L.target.factors):
+                la = c.L.matrix.row(a)
+                for j in range(s):
                     row = [0] * nvars
-                    for i in range(T.rank):
-                        row[var(i, j)] = c.L.matrix.at(a, i)
-                    rows.append(row)
+                    row[j::s] = la
+                    flat += row
                     rhs.append(c.R.matrix.at(a, j))
                     mods.append(w)
         else:
-            # u o L = R with L: W -> S, R: W -> T; equality is mod T relations
-            W = c.L.source
+            # u o L = R with L: W -> S, R: W -> T; equality is mod T relations;
+            # row (i, b) holds L[j][b] at x[i][j] for every j
+            cols = [c.L.matrix.col(b) for b in range(c.L.source.rank)]
             for i, e in enumerate(T.factors):
-                for b in range(W.rank):
+                for b, lb in enumerate(cols):
                     row = [0] * nvars
-                    for j in range(S.rank):
-                        row[var(i, j)] = c.L.matrix.at(j, b)
-                    rows.append(row)
+                    row[i * s:(i + 1) * s] = lb
+                    flat += row
                     rhs.append(c.R.matrix.at(i, b))
                     mods.append(e)
 
-    if not rows:
+    if not rhs:
         return abelian_zero(S, T)
-    a = IntMatrix.from_rows(rows)
-    x = solve_congruence_system(a, rhs, mods)
+    x = solve_congruence_system(IntMatrix(len(rhs), nvars, tuple(flat)), rhs, mods)
     if x is None:
         return None
     m = IntMatrix(T.rank, S.rank, tuple(x))

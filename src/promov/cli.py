@@ -146,13 +146,24 @@ def _field(doc: dict, key: str, kind: type = dict, default=None):
                   kind, repr(key))
 
 
-def _table(doc: dict, key: str, width: int, default=None) -> list:
-    """doc[key], refused unless it is a list of ``width``-entry lists."""
+def _label(value, what: str):
+    """value, refused if it is a list or an object: labels are hash keys."""
+    if isinstance(value, (list, dict)):
+        raise DocumentError(f"{what} must be a string or a number, "
+                            f"not {type(value).__name__}")
+    return value
+
+
+def _table(doc: dict, key: str, width: int, default=None, labels=0) -> list:
+    """doc[key], refused unless it is a list of ``width``-entry lists whose
+    first ``labels`` items are labels."""
     rows = _field(doc, key, list, default)
     for row in rows:
         if len(_typed(row, list, f"an entry of {key!r}")) != width:
             raise DocumentError(
                 f"each entry of {key!r} has {width} items, not {len(row)}")
+        for x in row[:labels]:
+            _label(x, f"an index in {key!r}")
     return rows
 
 
@@ -172,15 +183,16 @@ def system_from_dict(doc: dict, seed_override=None) -> InverseSystem:
     kind = index.get("kind")
     if kind == "finite":
         poset = FiniteDirectedPoset.from_pairs(
-            tuple(_field(index, "elements", list)),
-            [tuple(p) for p in _table(index, "pairs", 2, [])])
+            tuple(_label(x, "an entry of 'elements'")
+                  for x in _field(index, "elements", list)),
+            [tuple(p) for p in _table(index, "pairs", 2, [], labels=2)])
         problems = validate_poset(poset)
         if problems:
             raise DocumentError("invalid index poset: " + "; ".join(problems))
         objects = {lam: object_from_dict(spec)
                    for lam, spec in _field(doc, "objects").items()}
         bonds = {}
-        for lo, hi, mspec in _table(doc, "bonds", 3):
+        for lo, hi, mspec in _table(doc, "bonds", 3, labels=2):
             bonds[(lo, hi)] = morphism_from_dict(mspec)
         for a in poset.members():
             bonds.setdefault((a, a), identity(objects[a]))
@@ -238,8 +250,8 @@ def morphism_from_doc(doc: dict, seed_override=None) -> SystemMorphism:
     if not is_finite_index(target.index):
         raise DocumentError("morphism tables need a finite target index poset")
     mdoc = _field(doc, "morphism")
-    phi_table = {mu: lam for mu, lam in _table(mdoc, "phi", 2)}
-    f_table = {mu: morphism_from_dict(spec) for mu, spec in _table(mdoc, "f", 2)}
+    phi_table = {mu: lam for mu, lam in _table(mdoc, "phi", 2, labels=2)}
+    f_table = {mu: morphism_from_dict(spec) for mu, spec in _table(mdoc, "f", 2, labels=1)}
     missing = [mu for mu in target.index.members()
                if mu not in phi_table or mu not in f_table]
     if missing:
@@ -615,10 +627,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built on the first main() call and kept for the process
+
+
 def main(argv=None, out=None) -> int:
+    global _parser
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     commands = {"validate": cmd_validate, "check": cmd_check,
                 "compose": cmd_compose, "equiv": cmd_equiv, "demo": cmd_demo}
     try:

@@ -5,6 +5,13 @@ points used by the rest of the library are :func:`snf` (a full U*A*V = D
 decomposition with unimodular U, V) and :func:`solve_congruence_system`
 (an exact solver for mixed linear congruences, where modulus 0 means an
 equation over the integers).
+
+:func:`snf` applies its row operations to a ``left`` matrix and its column
+operations to a ``right`` one, the identities by default.  The solvers pass
+the right-hand side b as ``left``, so the Smith form carries U*b instead of
+U, and as ``right`` only the identity rows whose part of V*w they return:
+all of them for :func:`solve_linear_system`, the first ``a.cols`` for
+:func:`solve_congruence_system`, whose slack unknowns are never read.
 """
 
 from __future__ import annotations
@@ -102,7 +109,10 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SnfDecomposition:
-    """U*A*V = D with U, V unimodular and D = diag(d1 | d2 | ... | dr), di >= 0."""
+    """U*A*V = D with U, V unimodular and D = diag(d1 | d2 | ... | dr), di >= 0.
+
+    When :func:`snf` is given ``left`` / ``right``, U and V hold U*left and
+    right*V instead."""
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
@@ -112,17 +122,30 @@ class SnfDecomposition:
         return [self.D.at(i, i) for i in range(n)]
 
 
-def snf(a: IntMatrix) -> SnfDecomposition:
+def snf(a: IntMatrix, left: Optional[IntMatrix] = None,
+        right: Optional[IntMatrix] = None) -> SnfDecomposition:
     """Smith normal form with transforms.
 
     Pivot choice is the smallest-absolute-value nonzero entry in the
     remaining block, first in row-major scan order on ties, so the
     decomposition is deterministic.
+
+    Every row operation on A is also applied to ``left`` (a.rows rows,
+    default the identity), and every column operation to ``right`` (a.cols
+    columns, default the identity).  The returned U is the transformed
+    ``left`` and V the transformed ``right``: U*left and right*V for the
+    transforms U, V of ``snf(a)``, which ``snf(a)`` itself returns.
     """
-    m = a.to_rows()
     rows, cols = a.rows, a.cols
-    u = IntMatrix.identity(rows).to_rows()
-    v = IntMatrix.identity(cols).to_rows()
+    if left is not None and left.rows != rows:
+        raise ValueError(f"left has {left.rows} rows, the matrix {rows}")
+    if right is not None and right.cols != cols:
+        raise ValueError(f"right has {right.cols} columns, the matrix {cols}")
+    left = IntMatrix.identity(rows) if left is None else left
+    right = IntMatrix.identity(cols) if right is None else right
+    m = a.to_rows()
+    u = left.to_rows()
+    v = right.to_rows()
 
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]
@@ -213,22 +236,27 @@ def snf(a: IntMatrix) -> SnfDecomposition:
     for k in range(n):
         d[k * cols + k] = m[k][k]
     return SnfDecomposition(
-        U=IntMatrix(rows, rows, tuple(x for r in u for x in r)),
+        U=IntMatrix(rows, left.cols, tuple(x for r in u for x in r)),
         D=IntMatrix(rows, cols, tuple(d)),
-        V=IntMatrix(cols, cols, tuple(x for r in v for x in r)),
+        V=IntMatrix(right.rows, cols, tuple(x for r in v for x in r)),
     )
 
 
-def solve_linear_system(a: IntMatrix, b: Sequence[int]) -> Optional[list]:
-    """One integer solution x of A*x = b, or None if there is none.
+def _back_substitute(a: IntMatrix, b: Sequence[int], keep: int) -> Optional[list]:
+    """The first ``keep`` entries of one integer solution x of A*x = b, or
+    None if there is none.
 
     Decided exactly through the Smith form: with U*A*V = D the system
-    becomes D*w = U*b, each equation of which is divisibility.
+    becomes D*w = U*b, each equation of which is divisibility, and x = V*w.
+    The Smith form carries b as its ``left``, so it returns U*b, and only
+    the first ``keep`` identity rows as its ``right``, so it returns only
+    the rows of V that are read.
     """
-    if a.rows != len(b):
-        raise ValueError("right-hand side length mismatch")
-    dec = snf(a)
-    ub = dec.U.mul_vector(list(b))
+    dec = snf(a, IntMatrix(a.rows, 1, tuple(b)),
+              IntMatrix(keep, a.cols, tuple(1 if i == j else 0
+                                            for i in range(keep)
+                                            for j in range(a.cols))))
+    ub = dec.U.entries
     diag = dec.diagonal()
     w = [0] * a.cols
     for i in range(a.rows):
@@ -243,29 +271,34 @@ def solve_linear_system(a: IntMatrix, b: Sequence[int]) -> Optional[list]:
     return dec.V.mul_vector(w)
 
 
+def solve_linear_system(a: IntMatrix, b: Sequence[int]) -> Optional[list]:
+    """One integer solution x of A*x = b, or None if there is none."""
+    if a.rows != len(b):
+        raise ValueError("right-hand side length mismatch")
+    return _back_substitute(a, b, a.cols)
+
+
 def solve_congruence_system(a: IntMatrix, b: Sequence[int],
                             moduli: Sequence[int]) -> Optional[list]:
     """One x with (A*x)_i == b_i (mod m_i), m_i = 0 meaning exact equality.
 
     None is a proof of non-existence: the congruences are rewritten as an
     integer linear system with one slack unknown per nonzero modulus and
-    solved exactly.
+    solved exactly.  Only the first ``a.cols`` unknowns, x itself, are
+    computed.
     """
     if a.rows != len(b) or a.rows != len(moduli):
         raise ValueError("dimension mismatch between matrix, rhs and moduli")
     if any(m < 0 for m in moduli):
         raise ValueError("moduli must be nonnegative")
-    slack_cols = [i for i, m in enumerate(moduli) if m != 0]
-    ext = []
-    for i in range(a.rows):
-        row = list(a.row(i))
-        for j in slack_cols:
-            row.append(moduli[j] if j == i else 0)
-        ext.append(row)
-    ext_m = IntMatrix.from_rows(ext) if ext else IntMatrix(0, a.cols, ())
-    sol = solve_linear_system(ext_m, b)
-    if sol is None:
-        return None
-    x = sol[:a.cols]
-    # normalize: reduce by nothing here (caller reduces mod its own relations)
-    return x
+    slack = sum(1 for m in moduli if m != 0)
+    ext, k = [], 0
+    for i, m in enumerate(moduli):
+        ext += a.row(i)
+        tail = [0] * slack
+        if m != 0:
+            tail[k] = m
+            k += 1
+        ext += tail
+    return _back_substitute(IntMatrix(a.rows, a.cols + slack, tuple(ext)),
+                            b, a.cols)

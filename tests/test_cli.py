@@ -2,11 +2,15 @@
 
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import promov
 from promov.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_NEGATIVE,
@@ -332,6 +336,12 @@ MALFORMED = {
     "periodicity flag is a string": (
         _with(flags={"eventually_periodic": "12"}),
         "'eventually_periodic' must be a list"),
+    "index element is a list": (
+        _with(index={"kind": "finite", "elements": [["a"], "b"], "pairs": []}),
+        "an entry of 'elements' must be a string or a number, not list"),
+    "phi index is a list": (
+        _with(morphism={"phi": [[["a"], "a"]], "f": []}),
+        "an index in 'phi' must be a string or a number, not list"),
 }
 
 
@@ -341,3 +351,24 @@ def test_malformed_document_exits_2(tmp_path, capsys, case):
     code, text = run(["check", "movable", write(tmp_path, doc)])
     assert code == EXIT_PARSE and text == ""
     assert message in capsys.readouterr().err
+
+
+def test_commands_in_one_process_match_separate_runs(tmp_path):
+    # main() keeps its parser between calls; each command must still print
+    # what it prints in a fresh interpreter
+    z4 = abelian(4)
+    ident = abelian_map(z4, z4, [["1"]])
+    doc = chain_doc()
+    doc["morphism"] = doc["morphism2"] = {"phi": [["a", "a"], ["b", "b"]],
+                                          "f": [["a", ident], ["b", ident]]}
+    path = write(tmp_path, doc)
+    argvs = [["check", "movable", path, "--format", "structured"],
+             ["compose", path, "--format", "structured"],
+             ["demo"],
+             ["check", "co_movable", path]]
+    src = str(Path(promov.__file__).resolve().parents[1])
+    for argv in argvs:
+        proc = subprocess.run([sys.executable, "-m", "promov.cli", *argv],
+                              env={"PYTHONPATH": src}, capture_output=True,
+                              text=True)
+        assert run(argv) == (proc.returncode, proc.stdout)

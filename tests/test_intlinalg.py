@@ -70,6 +70,38 @@ def test_snf_invariants_hypothesis(rows):
     check_snf_invariants(IntMatrix.from_rows(rows))
 
 
+@st.composite
+def _snf_with_carried(draw):
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    k, k2 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+
+    def matrix(r, c):
+        return IntMatrix(r, c, tuple(draw(st.lists(
+            st.integers(-20, 20), min_size=r * c, max_size=r * c))))
+
+    return matrix(rows, cols), matrix(rows, k), matrix(k2, cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_snf_with_carried())
+def test_snf_carries_left_and_right(case):
+    # the row operations act on left and the column operations on right,
+    # with D untouched, 0-row and 0-column shapes included
+    a, left, right = case
+    plain, carried = snf(a), snf(a, left, right)
+    assert carried.U == plain.U.mul(left)
+    assert carried.D == plain.D
+    assert carried.V == right.mul(plain.V)
+
+
+def test_snf_refuses_mismatched_carried_shapes():
+    a = IntMatrix.identity(2)
+    with pytest.raises(ValueError):
+        snf(a, left=IntMatrix.identity(3))
+    with pytest.raises(ValueError):
+        snf(a, right=IntMatrix.zero(2, 3))
+
+
 def test_linear_solver():
     a = IntMatrix.from_rows([[2, 0], [0, 3]])
     assert solve_linear_system(a, [4, 9]) == [2, 3]
