@@ -1,11 +1,17 @@
 """Brute-force reference checker: domain guards and sanity verdicts."""
 
+import hashlib
+import json
+
 import pytest
 
 from promov import oracle
 from promov.categories import Z
 from promov.checkers import FAILS, HOLDS, PROPERTIES
+from promov.cli import verdict_to_dict
 from promov.families import (
+    bounded_phi_morphism,
+    cofinal_decreasing_phi_instance,
     constant_poset_system,
     example_2_27,
     finite_instance_corpus,
@@ -95,3 +101,45 @@ def test_cone_search_work_is_pinned(monkeypatch):
             row.append(budgets[-1].used)
         work[i] = tuple(row)
     assert work == CONE_SEARCH_WORK
+
+
+# One digest over every oracle verdict (as ``verdict_to_dict`` writes it) and
+# the budget units it spent, for all seven properties, and over which of those
+# checks a cap of 200 units refuses.  Recorded before the per-property search
+# loops were folded into one, so a changed verdict, a changed admissible set
+# or one budget unit spent more, less or elsewhere shows up here.
+ORACLE_DIGEST = "849bc0607cf85ac14f16928dae27b6df60abff082e6ac9506ccc951d0bbb04ca"
+ORACLE_SMALL_CAP = 200
+ORACLE_SMALL_CAP_REFUSALS = 59
+
+
+def _oracle_pin_corpus():
+    corpus = [m for i, m in enumerate(finite_instance_corpus(11, 40)) if i != 14]
+    corpus += [bounded_phi_morphism(s) for s in range(20)]
+    corpus += [cofinal_decreasing_phi_instance(s) for s in range(20)]
+    return corpus
+
+
+def test_oracle_verdicts_and_work_are_pinned(monkeypatch):
+    budgets = []
+
+    class Recording(oracle._Budget):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            budgets.append(self)
+
+    monkeypatch.setattr(oracle, "_Budget", Recording)
+    h = hashlib.sha256()
+    refused = 0
+    for i, m in enumerate(_oracle_pin_corpus()):
+        for prop in PROPERTIES:
+            v = oracle_check(prop, m)
+            h.update(json.dumps(verdict_to_dict(v), sort_keys=True).encode())
+            h.update(f"|{budgets[-1].used}|".encode())
+            try:
+                oracle_check(prop, m, cap=ORACLE_SMALL_CAP)
+            except OracleCapExceeded:
+                refused += 1
+                h.update(f"refused {i} {prop}|".encode())
+    assert refused == ORACLE_SMALL_CAP_REFUSALS
+    assert h.hexdigest() == ORACLE_DIGEST
