@@ -381,9 +381,6 @@ class Subobject:
         # trivial iff the lattice equals the relation lattice of the ambient
         return self == trivial_subobject(self.ambient)
 
-    def is_full(self) -> bool:
-        return self == full_subobject(self.ambient)
-
 
 def _column_hnf(generators: list, dim: int) -> tuple:
     """Canonical Hermite-style basis of the sublattice of Z^dim spanned by
@@ -452,17 +449,6 @@ def subobjects_equal(s1: Subobject, s2: Subobject) -> bool:
     if s1.ambient != s2.ambient:
         raise BackendError("subobjects live in different ambient objects")
     return s1.presentation == s2.presentation
-
-
-def subobject_contains(big: Subobject, small: Subobject) -> bool:
-    """small <= big as subobjects of the same ambient object."""
-    if big.ambient != small.ambient:
-        raise BackendError("subobjects live in different ambient objects")
-    if isinstance(big.ambient, PointedFiniteSet):
-        return set(small.presentation) <= set(big.presentation)
-    joined = list(big.presentation) + list(small.presentation)
-    dim = big.ambient.rank
-    return _column_hnf([list(r) for r in joined], dim) == big.presentation
 
 
 # ---------------------------------------------------------------------------

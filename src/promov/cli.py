@@ -9,7 +9,8 @@ optional ``flags``, optional ``target`` (a nested system document) and
 so arbitrary precision survives the round trip.
 
 Exit codes: 0 Holds/HoldsStabilized, 1 Fails/FailsAtHorizon, 2 input or
-parse error, 3 Unknown/HoldsAtHorizon.
+parse error, 3 Unknown/HoldsAtHorizon, 4 internal error (any other exception,
+reported as one ``error: internal: <Type>: <message>`` line on stderr).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .categories import (
 from .checkers import Horizon, Refutation, Verdict, WitnessRecord
 from .indexsets import FiniteDirectedPoset, IndexMap, is_finite_index, validate_poset
 from .intlinalg import IntMatrix
-from .oracle import OracleCapExceeded, OracleInputError, oracle_check
+from .oracle import OracleCapExceeded, oracle_check
 from .systems import (
     InverseSystem,
     SystemFlags,
@@ -46,6 +47,7 @@ EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
 EXIT_PARSE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 class DocumentError(ValueError):
@@ -640,16 +642,16 @@ def main(argv=None, out=None) -> int:
                 "compose": cmd_compose, "equiv": cmd_equiv, "demo": cmd_demo}
     try:
         return commands[args.command](args, out)
-    except (DocumentError, OracleInputError, OracleCapExceeded,
-            ck.HorizonError) as e:
+    except (ValueError, OracleCapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except KeyError as e:
         print(f"error: missing document key {e}", file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    except Exception as e:
+        # a defect, not a verdict: never exit 1, the code of a negative one
+        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

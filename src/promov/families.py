@@ -234,6 +234,8 @@ def _random_periodic(rng: random.Random, period: int, draw_object,
     """Eventually periodic sequence flagged as such: a random offset, then
     offset + period objects from draw_object() and one random step into each,
     repeated with the given period past the offset."""
+    if period < 1:
+        raise ValueError(f"period must be at least 1, not {period}")
     off = rng.randrange(3)
 
     def periodic(items):

@@ -26,12 +26,6 @@ class FiniteDirectedPoset:
             raise ValueError("element labels must be distinct")
         object.__setattr__(self, "_pos", {a: i for i, a in enumerate(self.elements)})
 
-    def index_of(self, a) -> int:
-        try:
-            return self._pos[a]
-        except KeyError:
-            raise ValueError(f"{a!r} is not an element of the poset") from None
-
     def leq(self, a, b) -> bool:
         pos = self._pos
         try:
@@ -125,17 +119,6 @@ def validate_poset(p: FiniteDirectedPoset) -> list:
             if not any(p.leq(a, u) and p.leq(b, u) for u in els):
                 out.append(f"no upper bound for ({a!r}, {b!r})")
     return out
-
-
-def upper_bound(idx: IndexSet, a, b):
-    """Some element >= both a and b: max on the chain; on finite posets the
-    first element (in declared order) of the upper-bound set."""
-    if isinstance(idx, NatIndex):
-        return max(a, b)
-    for u in idx.elements:
-        if idx.leq(a, u) and idx.leq(b, u):
-            return u
-    raise ValueError(f"no upper bound for ({a!r}, {b!r}); index set not directed")
 
 
 @dataclass(frozen=True)

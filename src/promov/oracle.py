@@ -1,10 +1,24 @@
 """Brute-force reference implementations by literal quantifier expansion.
 
-Every property is decided by enumerating hom-sets (and cone leg families)
-exhaustively, with no solvers, no canonical forms and no stabilization
-rules, so agreement with the optimized checkers is meaningful evidence.
-Only finite-poset systems with finite objects are accepted; enumeration work
-is counted against a hard cap and the oracle refuses rather than samples.
+Every property has one form: for every mu in the target there is a
+lam >= phi(mu) such that the pair (mu, lam) is admissible.  ``oracle_check``
+runs that expansion once, for all seven properties, and asks one literal
+predicate per property whether (mu, lam) is admissible:
+
+- (strongly) movable: every q_{mu mu'} lifts f_{mu lam} through some
+  u: X_lam -> Y_mu'; strongly, u also meets some f_{mu' lam*} at lam*;
+- (strongly) co-movable: f_{mu lam} factors through every f_{mu lam'} by some
+  r: X_lam -> X_lam'; strongly, r also commutes with the bonds at some lam*;
+- uniformly movable: a cone from X_lam into Y has the leg f_{mu lam} at mu;
+- uniformly co-movable: a cone from X_lam into X has a leg r at phi(mu) with
+  f_mu r = f_{mu lam};
+- Mittag-Leffler: every f_{mu lam'}, lam' >= lam, has the image of f_{mu lam}.
+
+The predicates enumerate hom-sets (and cone leg families) exhaustively, with
+no solvers, no canonical forms and no stabilization rules, so agreement with
+the optimized checkers is meaningful evidence.  Only finite-poset systems
+with finite objects are accepted; enumeration work is counted against a hard
+cap and the oracle refuses rather than samples.
 """
 
 from __future__ import annotations
@@ -90,19 +104,6 @@ class _Homs:
         return self.cache[key]
 
 
-def _verdict(prop: str, per_mu: dict, failed_mu) -> Verdict:
-    if failed_mu is not None:
-        return Verdict(prop, FAILS,
-                       refutation=Refutation(failed_mu, None, None,
-                                             "exhaustive search found no index"),
-                       notes=["oracle: literal quantifier expansion"])
-    recs = [WitnessRecord(mu, lams[0] if lams else None, None,
-                          extra={"admissible": list(lams)})
-            for mu, lams in per_mu.items()]
-    return Verdict(prop, HOLDS, witnesses=recs,
-                   notes=["oracle: literal quantifier expansion"])
-
-
 def oracle_check(prop: str, f: SystemMorphism,
                  cap: int = ORACLE_WORK_CAP) -> Verdict:
     """Exact Holds/Fails for one of the seven properties by brute force.
@@ -112,87 +113,78 @@ def oracle_check(prop: str, f: SystemMorphism,
     _require_finite(f)
     budget = _Budget(cap)
     homs = _Homs(budget)
-    dispatch = {
-        "movable": _movable,
-        "strongly_movable": _strongly_movable,
-        "uniformly_movable": _uniformly_movable,
-        "co_movable": _co_movable,
-        "strongly_co_movable": _strongly_co_movable,
-        "uniformly_co_movable": _uniformly_co_movable,
-        "mittag_leffler": _mittag_leffler,
-    }
     try:
-        fn = dispatch[prop]
+        admissible = _ADMISSIBLE[prop]
     except KeyError:
         raise ValueError(f"unknown property {prop!r}") from None
-    return fn(f, homs, budget)
-
-
-def _ups(poset, a):
-    return [b for b in poset.members() if poset.leq(a, b)]
-
-
-def _ups2(poset, a, b):
-    return [c for c in poset.members() if poset.leq(a, c) and poset.leq(b, c)]
-
-
-def _movable(f, homs, budget):
-    x, y = f.source, f.target
+    notes = ["oracle: literal quantifier expansion"]
     per_mu = {}
-    for mu in y.index.members():
-        admissible = []
-        for lam in _ups(x.index, f.phi(mu)):
-            ok = True
-            for mu2 in _ups(y.index, mu):
-                target_eq = restrict(f, mu, lam)
-                found = False
-                for u in homs.get(x.object_at(lam), y.object_at(mu2)):
-                    budget.spend()
-                    if morphisms_equal(compose(y.bond(mu, mu2), u), target_eq):
-                        found = True
-                        break
-                if not found:
-                    ok = False
-                    break
-            if ok:
-                admissible.append(lam)
-        if not admissible:
-            return _verdict("movable", {}, mu)
-        per_mu[mu] = admissible
-    return _verdict("movable", per_mu, None)
+    for mu in f.target.index.members():
+        lams = [lam for lam in _ups(f.source.index, f.phi(mu))
+                if admissible(f, mu, lam, homs, budget)]
+        if not lams:
+            return Verdict(prop, FAILS, notes=notes,
+                           refutation=Refutation(mu, None, None,
+                                                 "exhaustive search found no index"))
+        per_mu[mu] = lams
+    recs = [WitnessRecord(mu, lams[0], None, extra={"admissible": lams})
+            for mu, lams in per_mu.items()]
+    return Verdict(prop, HOLDS, witnesses=recs, notes=notes)
 
 
-def _strongly_movable(f, homs, budget):
-    x, y = f.source, f.target
-    per_mu = {}
-    for mu in y.index.members():
-        admissible = []
-        for lam in _ups(x.index, f.phi(mu)):
-            flam = restrict(f, mu, lam)
-            ok = True
-            for mu2 in _ups(y.index, mu):
-                found = False
-                for u in homs.get(x.object_at(lam), y.object_at(mu2)):
-                    budget.spend()
-                    if not morphisms_equal(compose(y.bond(mu, mu2), u), flam):
-                        continue
-                    for lamstar in _ups2(x.index, lam, f.phi(mu2)):
-                        budget.spend()
-                        if morphisms_equal(compose(u, x.bond(lam, lamstar)),
-                                           restrict(f, mu2, lamstar)):
-                            found = True
-                            break
-                    if found:
-                        break
-                if not found:
-                    ok = False
-                    break
-            if ok:
-                admissible.append(lam)
-        if not admissible:
-            return _verdict("strongly_movable", {}, mu)
-        per_mu[mu] = admissible
-    return _verdict("strongly_movable", per_mu, None)
+def _ups(poset, *lows):
+    return [b for b in poset.members() if all(poset.leq(a, b) for a in lows)]
+
+
+def _exists(candidates, budget: _Budget, test) -> bool:
+    """Some candidate passes test; each candidate tried costs one unit."""
+    for c in candidates:
+        budget.spend()
+        if test(c):
+            return True
+    return False
+
+
+def _movable(strong: bool):
+    """Every q_{mu mu'} (mu' >= mu) has u: X_lam -> Y_mu' with
+    q_{mu mu'} u = f_{mu lam}; strongly, also u p_{lam lam*} = f_{mu' lam*}
+    for some lam* >= lam, phi(mu')."""
+    def admissible(f, mu, lam, homs, budget):
+        x, y = f.source, f.target
+        flam = restrict(f, mu, lam)
+
+        def lifts(mu2, u):
+            return morphisms_equal(compose(y.bond(mu, mu2), u), flam) and (
+                not strong or _exists(
+                    _ups(x.index, lam, f.phi(mu2)), budget,
+                    lambda ls: morphisms_equal(compose(u, x.bond(lam, ls)),
+                                               restrict(f, mu2, ls))))
+
+        return all(_exists(homs.get(x.object_at(lam), y.object_at(mu2)), budget,
+                           lambda u: lifts(mu2, u))
+                   for mu2 in _ups(y.index, mu))
+    return admissible
+
+
+def _co_movable(strong: bool):
+    """Every lam' >= phi(mu) has r: X_lam -> X_lam' with
+    f_{mu lam'} r = f_{mu lam}; strongly, also r p_{lam lam*} = p_{lam' lam*}
+    for some lam* >= lam, lam'."""
+    def admissible(f, mu, lam, homs, budget):
+        x = f.source
+        flam = restrict(f, mu, lam)
+
+        def factors(lam2, r):
+            return morphisms_equal(compose(restrict(f, mu, lam2), r), flam) and (
+                not strong or _exists(
+                    _ups(x.index, lam, lam2), budget,
+                    lambda ls: morphisms_equal(compose(r, x.bond(lam, ls)),
+                                               x.bond(lam2, ls))))
+
+        return all(_exists(homs.get(x.object_at(lam), x.object_at(lam2)), budget,
+                           lambda r: factors(lam2, r))
+                   for lam2 in _ups(x.index, f.phi(mu)))
+    return admissible
 
 
 def _cone_exists(system: InverseSystem, source_obj, homs: _Homs, budget: _Budget,
@@ -204,130 +196,47 @@ def _cone_exists(system: InverseSystem, source_obj, homs: _Homs, budget: _Budget
     poset = system.index
     members = list(poset.members())
     fixed = fixed or {}
+    legs = {}
 
-    def extend(i, legs):
+    def compatible(m, cand):
+        return all(
+            (not poset.leq(m, m2)
+             or morphisms_equal(compose(system.bond(m, m2), l2), cand))
+            and (not poset.leq(m2, m)
+                 or morphisms_equal(compose(system.bond(m2, m), cand), l2))
+            for m2, l2 in legs.items())
+
+    def place(i, m, cand):
+        legs[m] = cand
+        if extend(i + 1):
+            return True
+        del legs[m]
+        return False
+
+    def extend(i):
         if i == len(members):
             return True
         m = members[i]
         candidates = ([fixed[m]] if m in fixed
                       else homs.get(source_obj, system.object_at(m)))
-        for cand in candidates:
-            budget.spend()
-            if leg_ok is not None and not leg_ok(m, cand):
-                continue
-            good = True
-            for m2, l2 in legs.items():
-                if poset.leq(m, m2):
-                    if not morphisms_equal(compose(system.bond(m, m2), l2), cand):
-                        good = False
-                        break
-                if poset.leq(m2, m):
-                    if not morphisms_equal(compose(system.bond(m2, m), cand), l2):
-                        good = False
-                        break
-            if good:
-                legs[m] = cand
-                if extend(i + 1, legs):
-                    return True
-                del legs[m]
-        return False
+        return _exists(candidates, budget,
+                       lambda cand: (leg_ok is None or leg_ok(m, cand))
+                       and compatible(m, cand) and place(i, m, cand))
 
-    return extend(0, {})
+    return extend(0)
 
 
-def _uniformly_movable(f, homs, budget):
-    x, y = f.source, f.target
-    per_mu = {}
-    for mu in y.index.members():
-        admissible = []
-        for lam in _ups(x.index, f.phi(mu)):
-            if _cone_exists(y, x.object_at(lam), homs, budget,
-                            fixed={mu: restrict(f, mu, lam)}):
-                admissible.append(lam)
-        if not admissible:
-            return _verdict("uniformly_movable", {}, mu)
-        per_mu[mu] = admissible
-    return _verdict("uniformly_movable", per_mu, None)
+def _uniformly_movable(f, mu, lam, homs, budget):
+    return _cone_exists(f.target, f.source.object_at(lam), homs, budget,
+                        fixed={mu: restrict(f, mu, lam)})
 
 
-def _co_movable(f, homs, budget):
-    x, y = f.source, f.target
-    per_mu = {}
-    for mu in y.index.members():
-        admissible = []
-        for lam in _ups(x.index, f.phi(mu)):
-            flam = restrict(f, mu, lam)
-            ok = True
-            for lam2 in _ups(x.index, f.phi(mu)):
-                found = False
-                for r in homs.get(x.object_at(lam), x.object_at(lam2)):
-                    budget.spend()
-                    if morphisms_equal(compose(restrict(f, mu, lam2), r), flam):
-                        found = True
-                        break
-                if not found:
-                    ok = False
-                    break
-            if ok:
-                admissible.append(lam)
-        if not admissible:
-            return _verdict("co_movable", {}, mu)
-        per_mu[mu] = admissible
-    return _verdict("co_movable", per_mu, None)
-
-
-def _strongly_co_movable(f, homs, budget):
-    x, y = f.source, f.target
-    per_mu = {}
-    for mu in y.index.members():
-        admissible = []
-        for lam in _ups(x.index, f.phi(mu)):
-            flam = restrict(f, mu, lam)
-            ok = True
-            for lam2 in _ups(x.index, f.phi(mu)):
-                found = False
-                for r in homs.get(x.object_at(lam), x.object_at(lam2)):
-                    budget.spend()
-                    if not morphisms_equal(compose(restrict(f, mu, lam2), r), flam):
-                        continue
-                    for lamstar in _ups2(x.index, lam, lam2):
-                        budget.spend()
-                        if morphisms_equal(compose(r, x.bond(lam, lamstar)),
-                                           x.bond(lam2, lamstar)):
-                            found = True
-                            break
-                    if found:
-                        break
-                if not found:
-                    ok = False
-                    break
-            if ok:
-                admissible.append(lam)
-        if not admissible:
-            return _verdict("strongly_co_movable", {}, mu)
-        per_mu[mu] = admissible
-    return _verdict("strongly_co_movable", per_mu, None)
-
-
-def _uniformly_co_movable(f, homs, budget):
-    x, y = f.source, f.target
-    per_mu = {}
-    for mu in y.index.members():
-        admissible = []
-        pm = f.phi(mu)
-        for lam in _ups(x.index, pm):
-            flam = restrict(f, mu, lam)
-            # cone into the source whose leg at phi(mu) satisfies
-            # f_mu o r_{phi(mu)} = f_{mu lam}: enumerate and test directly
-            found = _cone_exists(x, x.object_at(lam), homs, budget,
-                                 leg_ok=lambda m, leg: m != pm or morphisms_equal(
-                                     compose(f.f(mu), leg), flam))
-            if found:
-                admissible.append(lam)
-        if not admissible:
-            return _verdict("uniformly_co_movable", {}, mu)
-        per_mu[mu] = admissible
-    return _verdict("uniformly_co_movable", per_mu, None)
+def _uniformly_co_movable(f, mu, lam, homs, budget):
+    # a cone into the source whose leg r at phi(mu) has f_mu r = f_{mu lam}
+    pm, flam = f.phi(mu), restrict(f, mu, lam)
+    return _cone_exists(f.source, f.source.object_at(lam), homs, budget,
+                        leg_ok=lambda m, leg: m != pm or morphisms_equal(
+                            compose(f.f(mu), leg), flam))
 
 
 def _image_set(m, budget) -> frozenset:
@@ -335,18 +244,18 @@ def _image_set(m, budget) -> frozenset:
     return frozenset(_apply(m, el) for el in _elements(m.source))
 
 
-def _mittag_leffler(f, homs, budget):
-    x, y = f.source, f.target
-    per_mu = {}
-    for mu in y.index.members():
-        admissible = []
-        base = f.phi(mu)
-        for lam in _ups(x.index, base):
-            img = _image_set(restrict(f, mu, lam), budget)
-            if all(_image_set(restrict(f, mu, lam2), budget) == img
-                   for lam2 in _ups(x.index, lam)):
-                admissible.append(lam)
-        if not admissible:
-            return _verdict("mittag_leffler", {}, mu)
-        per_mu[mu] = admissible
-    return _verdict("mittag_leffler", per_mu, None)
+def _mittag_leffler(f, mu, lam, homs, budget):
+    img = _image_set(restrict(f, mu, lam), budget)
+    return all(_image_set(restrict(f, mu, lam2), budget) == img
+               for lam2 in _ups(f.source.index, lam))
+
+
+_ADMISSIBLE = {
+    "movable": _movable(False),
+    "strongly_movable": _movable(True),
+    "uniformly_movable": _uniformly_movable,
+    "co_movable": _co_movable(False),
+    "strongly_co_movable": _co_movable(True),
+    "uniformly_co_movable": _uniformly_co_movable,
+    "mittag_leffler": _mittag_leffler,
+}

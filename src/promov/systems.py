@@ -219,17 +219,15 @@ def restrict(f: SystemMorphism, mu, lam) -> Morphism:
     return r
 
 
-def validate_morphism(f: SystemMorphism, horizon: int = 8,
-                      lambda_horizon: int = None) -> list:
+def validate_morphism(f: SystemMorphism, horizon: int = 8) -> list:
     """Component endpoints plus the coherence condition with the bonds.
 
     Coherence for (mu, mu'): some lam >= phi(mu), phi(mu') has
     f_{mu lam} = q_{mu mu'} o f_{mu' lam}.  Sequences check adjacent pairs
-    (coherence composes up the chain), searching lam up to lambda_horizon
-    (default 2*horizon + 1, deep enough for witnesses like lam = 2*mu + 1).
+    (coherence composes up the chain), searching lam up to 2*horizon + 1,
+    deep enough for witnesses like lam = 2*mu + 1.
     """
-    if lambda_horizon is None:
-        lambda_horizon = 2 * horizon + 1
+    lambda_horizon = 2 * horizon + 1
     out = []
     x, y = f.source, f.target
     for mu in y.indices(horizon):

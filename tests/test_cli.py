@@ -1,9 +1,13 @@
 """Command-line interface: exit codes, document parsing, output formats."""
 
+import contextlib
+import functools
 import io
 import json
+import operator
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import strategies as st
 import promov
 from promov.cli import (
     EXIT_INCONCLUSIVE,
+    EXIT_INTERNAL,
     EXIT_NEGATIVE,
     EXIT_PARSE,
     EXIT_POSITIVE,
@@ -342,6 +347,14 @@ MALFORMED = {
     "phi index is a list": (
         _with(morphism={"phi": [[["a"], "a"]], "f": []}),
         "an index in 'phi' must be a string or a number, not list"),
+    "set sequence period is 0": (
+        {"index": {"kind": "nat"}, "family": "set_sequence",
+         "params": {"period": "0"}},
+        "period must be at least 1, not 0"),
+    "abelian sequence period is -1": (
+        {"index": {"kind": "nat"}, "family": "abelian_sequence",
+         "params": {"period": "-1"}},
+        "period must be at least 1, not -1"),
 }
 
 
@@ -372,3 +385,75 @@ def test_commands_in_one_process_match_separate_runs(tmp_path):
                               env={"PYTHONPATH": src}, capture_output=True,
                               text=True)
         assert run(argv) == (proc.returncode, proc.stdout)
+
+
+def test_internal_error_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("a defect")
+    monkeypatch.setattr("promov.cli.morphism_from_doc", broken)
+    code, text = run(["check", "movable", write(tmp_path, chain_doc())])
+    assert code == EXIT_INTERNAL and text == ""
+    assert capsys.readouterr().err == "error: internal: RuntimeError: a defect\n"
+
+
+# ---------------------------------------------------------------------------
+# fuzz: one field of a valid document deleted or replaced
+
+
+def _fuzz_seed_documents():
+    z4 = abelian(4)
+    morphism = chain_doc()
+    morphism["morphism"] = {"phi": [["a", "a"], ["b", "b"]],
+                            "f": [["a", abelian_map(z4, z4, [["1"]])],
+                                  ["b", abelian_map(z4, z4, [["1"]])]]}
+    family = {"index": {"kind": "nat"}, "family": "set_sequence",
+              "params": {"period": "2", "max_size": "3"}, "seed": "3"}
+    return [chain_doc(), morphism, family]
+
+
+FUZZ_SEEDS = _fuzz_seed_documents()
+_DELETE = object()
+
+
+def _fields(doc, path=()):
+    """Every path to a dict value or list entry inside doc."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    # a JSON round trip unshares the sub-documents the seeds reuse, so the
+    # mutation changes one place only
+    doc = json.loads(json.dumps(draw(st.sampled_from(FUZZ_SEEDS))))
+    *parents, last = draw(st.sampled_from(list(_fields(doc))))
+    holder = functools.reduce(operator.getitem, parents, doc)
+    # integers stay small, so no draw can ask for a huge object or period
+    value = draw(st.one_of(
+        st.just(_DELETE), st.text(alphabet="ab", max_size=3),
+        st.lists(st.just("1"), max_size=2),
+        st.dictionaries(st.just("a"), st.just("1")), st.none(),
+        st.integers(-2, 3).map(str)))
+    if value is _DELETE:
+        del holder[last]
+    else:
+        holder[last] = value
+    return doc
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mutated_documents())
+def test_mutated_documents_exit_with_a_documented_code(doc):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "doc.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, text = run(["check", "movable", str(path)])
+    assert code in (EXIT_POSITIVE, EXIT_NEGATIVE, EXIT_PARSE, EXIT_INCONCLUSIVE)
+    if code == EXIT_NEGATIVE:
+        assert "Fails" in text
+    assert "Traceback" not in text + err.getvalue()

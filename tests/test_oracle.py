@@ -1,7 +1,9 @@
 """Brute-force reference checker: domain guards and sanity verdicts."""
 
+import ast
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -143,3 +145,27 @@ def test_oracle_verdicts_and_work_are_pinned(monkeypatch):
                 h.update(f"refused {i} {prop}|".encode())
     assert refused == ORACLE_SMALL_CAP_REFUSALS
     assert h.hexdigest() == ORACLE_DIGEST
+
+
+def test_oracle_stays_literal_and_separate():
+    # the oracle is a reference only while it shares no decision code with
+    # the checkers: no solver, subobject or canonical form may enter it
+    imported = {}  # module's last dotted part -> names taken, "*" for all
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.setdefault(alias.name.rsplit(".", 1)[-1], set()).add("*")
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rsplit(".", 1)[-1]
+            for alias in node.names:
+                if module in ("", "promov"):  # from . import <module>
+                    imported.setdefault(alias.name, set()).add("*")
+                else:
+                    imported.setdefault(module, set()).add(alias.name)
+    assert "intlinalg" not in imported
+    assert imported.get("checkers", set()) <= {
+        "FAILS", "HOLDS", "Refutation", "Verdict", "WitnessRecord"}
+    assert imported.get("categories", set()) <= {
+        "FgAbelianObject", "FgAbelianMorphism", "PointedFiniteSet",
+        "PointedMap", "compose", "enumerate_homs", "morphisms_equal"}
