@@ -1,14 +1,16 @@
 """Decision procedures for the movability-type properties.
 
 Each checker reduces its defining condition to factorization problems in the
-backend category.  On finite directed posets all quantifiers are expanded
-exactly (statuses Holds / Fails).  On sequences the quantifiers are infinite,
-so a checker either certifies the tail through a named stabilization rule
-(HoldsStabilized), reports the horizon-bounded outcome (HoldsAtHorizon /
-FailsAtHorizon), or gives up (Unknown).  A FailsAtHorizon verdict is a proof
-that no witness exists inside the horizon box; it is evidence, not a theorem,
-of failure of the unbounded property, and reports say so.  Within one
-checker call each distinct factorization problem is solved and verified once.
+backend category and gives each outer index mu a status: HoldsStabilized
+(tail certified by a named stabilization rule), HoldsAtHorizon or
+FailsAtHorizon (the outcome inside the horizon box), or Unknown; the verdict
+is the worst, FailsAtHorizon < Unknown < HoldsAtHorizon < HoldsStabilized.
+FailsAtHorizon proves that no witness exists inside the box: evidence, not a
+theorem, of failure of the unbounded property, and reports say so.  On a
+finite directed poset the box holds every index, so the worst status is
+exact and reads Fails or Holds; Fails appears only on input that breaks the
+axioms.  Within one checker call each distinct factorization problem is
+solved and verified once.
 
 The six morphism checkers are one search.  For each outer index mu it probes
 one lambda and looks for a witness w : X_lambda -> Z_k with
@@ -66,12 +68,8 @@ FAILS_AT_HORIZON = "FailsAtHorizon"
 FAILS = "Fails"
 UNKNOWN = "Unknown"
 
-# per-index certification levels (internal)
-_EXACT = "exact"
-_CERTIFIED = "certified"
-_AT_HORIZON = "at_horizon"
-_FAILED = "failed"
-_UNKNOWN = "unknown"
+# the per-mu statuses, worst first
+_RANK = (FAILS_AT_HORIZON, UNKNOWN, HOLDS_AT_HORIZON, HOLDS_STABILIZED)
 
 
 @dataclass(frozen=True)
@@ -149,15 +147,15 @@ def _probe_lambda(x: InverseSystem, mu, pm, h: Horizon):
     return x.top(h.lambda_max)
 
 
-def _keys(z: InverseSystem, low, h: Horizon, finite: bool, uniform: bool,
-          name: str):
+def _keys(z: InverseSystem, low, h: Horizon, uniform: bool, name: str):
     """(keys, certification limit, extra) of a search at index low of z:
     every deeper in-range index, or the single key top, the greatest
-    in-range index, which must lie above low."""
+    in-range index, which must lie above low (on a finite poset it is the
+    greatest element, so it always does)."""
     if not uniform:
         return z.index.above(low, limit=h.muprime_max), h.muprime_max, {}
     top = z.top(h.cone_max)
-    if not finite and not z.index.leq(low, top):
+    if not z.index.leq(low, top):
         raise HorizonError(f"cone depth {h.cone_max} is below {name} = {low}")
     return [top], h.cone_max, {"cone_top": top}
 
@@ -172,7 +170,7 @@ def _periodic_covered(system: InverseSystem, h_limit: int) -> bool:
     index range covers a full period past the offset, so a uniform in-range
     outcome extends to the tail (eventual-periodicity rule)."""
     flag = system.flags.eventually_periodic
-    if flag is None or not system.is_sequence():
+    if flag is None or is_finite_index(system.index):
         return False
     off, per = flag
     return h_limit >= off + per
@@ -201,25 +199,20 @@ def _solver():
 
 
 def _assemble(prop: str, per_mu: list, h: Horizon, finite: bool,
-              notes=None) -> Verdict:
-    witnesses = [r for lvl, r in per_mu if isinstance(r, WitnessRecord)]
-    refutation = next((r for lvl, r in per_mu if lvl == _FAILED), None)
-    levels = [lvl for lvl, _ in per_mu]
-    notes = list(notes or [])
+              notes=()) -> Verdict:
+    """The verdict of the worst (status, record) in per_mu by _RANK.  On a
+    finite poset the box holds every index, so the worst is exact: Fails
+    or Holds."""
+    status = min((s for s, _ in per_mu), key=_RANK.index,
+                 default=HOLDS_STABILIZED)
+    notes = list(notes)
     if finite:
-        status = FAILS if _FAILED in levels else HOLDS
+        status = FAILS if status == FAILS_AT_HORIZON else HOLDS
     else:
         notes.append(HORIZON_DISCLAIMER)
-        if _FAILED in levels:
-            status = FAILS_AT_HORIZON
-        elif _UNKNOWN in levels:
-            status = UNKNOWN
-        elif all(lvl == _CERTIFIED for lvl in levels):
-            status = HOLDS_STABILIZED
-        else:
-            status = HOLDS_AT_HORIZON
-    return Verdict(prop, status, witnesses,
-                   refutation if isinstance(refutation, Refutation) else None,
+    return Verdict(prop, status,
+                   [r for _, r in per_mu if isinstance(r, WitnessRecord)],
+                   next((r for _, r in per_mu if isinstance(r, Refutation)), None),
                    h, notes)
 
 
@@ -242,7 +235,7 @@ def _search(prop: str, f: SystemMorphism, h: Horizon, co: bool, kind: str) -> Ve
 
 def _search_mu(f: SystemMorphism, mu, h: Horizon, co: bool, kind: str,
                finite: bool, solve):
-    """(level, record) for one mu: a witness w : X_lambda -> Z_k with
+    """(status, record) for one mu: a witness w : X_lambda -> Z_k with
     L_k o w = f_{mu lambda} at every key k, plus the lambda* equation of a
     strong search."""
     x, y = f.source, f.target
@@ -259,7 +252,7 @@ def _search_mu(f: SystemMorphism, mu, h: Horizon, co: bool, kind: str,
         return x.index.above(lam, k if co else f.phi(k), limit=h.lambda_max)
 
     lam = _probe_lambda(x, mu, f.phi(mu), h)
-    keys, limit, extra = _keys(z, low, h, finite, kind == _UNIFORM,
+    keys, limit, extra = _keys(z, low, h, kind == _UNIFORM,
                                "phi(mu)" if co else "mu")
 
     # zero-map rule: f_{mu zlam} = 0 is solved by the zero witness at every key
@@ -283,7 +276,7 @@ def _search_mu(f: SystemMorphism, mu, h: Horizon, co: bool, kind: str,
                 raise AssertionError(f"zero witness fails at mu = {mu!r}, key {k!r}")
             rec.witnesses[k] = u
         else:
-            return _CERTIFIED, rec
+            return HOLDS_STABILIZED, rec
 
     flam = restrict(f, mu, lam)
     rec = WitnessRecord(mu, lam, None, extra=dict(extra))
@@ -299,7 +292,7 @@ def _search_mu(f: SystemMorphism, mu, h: Horizon, co: bool, kind: str,
                       if kind == _UNIFORM else
                       f"no factorization through the deeper "
                       f"{'restriction' if co else 'bond'}")
-            return _FAILED, Refutation(mu, lam, k, reason)
+            return FAILS_AT_HORIZON, Refutation(mu, lam, k, reason)
         if kind == _STRONG:
             candidates = stars(lam, k)
             if not candidates:
@@ -312,7 +305,7 @@ def _search_mu(f: SystemMorphism, mu, h: Horizon, co: bool, kind: str,
                     break
             if u is None:
                 if finite:
-                    return _FAILED, Refutation(
+                    return FAILS_AT_HORIZON, Refutation(
                         mu, lam, k, f"no two-sided {'co-' if co else ''}"
                                     f"witness for any lambda*")
                 # the lambda* quantifier reaches past the horizon, so an
@@ -323,16 +316,14 @@ def _search_mu(f: SystemMorphism, mu, h: Horizon, co: bool, kind: str,
         verified = k
         rec.witnesses[k] = u
     if inconclusive:
-        return _UNKNOWN, rec
-    if finite:
-        return _EXACT, rec
+        return UNKNOWN, rec
     # certified once the keys cover a full period of the side's system: for
     # a strong search only up to the deepest key that got a witness
     bound = verified if kind == _STRONG else limit
     if bound is not None and _periodic_covered(z, bound):
         rec.rule = "eventual-periodicity"
-        return _CERTIFIED, rec
-    return _AT_HORIZON, rec
+        return HOLDS_STABILIZED, rec
+    return HOLDS_AT_HORIZON, rec
 
 
 def movable_morphism(f: SystemMorphism, h: Horizon = Horizon()) -> Verdict:
@@ -397,10 +388,10 @@ def mittag_leffler(f: SystemMorphism, h: Horizon = Horizon()) -> Verdict:
                     ok = (lam, img)
                     break
             if ok is None:
-                per_mu.append((_FAILED, Refutation(mu, None, None,
-                                                   "no ML index")))
+                per_mu.append((FAILS_AT_HORIZON, Refutation(mu, None, None,
+                                                            "no ML index")))
             else:
-                per_mu.append((_EXACT, WitnessRecord(
+                per_mu.append((HOLDS_AT_HORIZON, WitnessRecord(
                     mu, ok[0], None, extra={"image": ok[1].presentation})))
             continue
         # stabilization rules, strongest first
@@ -429,16 +420,16 @@ def mittag_leffler(f: SystemMorphism, h: Horizon = Horizon()) -> Verdict:
                                         extra={"image": img.presentation})
                     break
         if rec is not None:
-            per_mu.append((_CERTIFIED, rec))
+            per_mu.append((HOLDS_STABILIZED, rec))
         elif len(chain) >= 2 and cat.subobjects_equal(chain[-2][1], chain[-1][1]):
-            per_mu.append((_AT_HORIZON, WitnessRecord(
+            per_mu.append((HOLDS_AT_HORIZON, WitnessRecord(
                 mu, chain[-1][0], None,
                 extra={"image": chain[-1][1].presentation})))
         else:
             notes.append(
                 f"mu={mu}: image chain still strictly decreasing at the "
                 f"horizon: {[p.presentation for _, p in chain]}")
-            per_mu.append((_UNKNOWN, WitnessRecord(
+            per_mu.append((UNKNOWN, WitnessRecord(
                 mu, None, None,
                 extra={"chain": [p.presentation for _, p in chain]})))
     return _assemble("mittag_leffler", per_mu, h, finite, notes=notes)
@@ -495,7 +486,7 @@ def _c0_search(prop: str, x: InverseSystem, c0_objects, h: Horizon,
     per_mu = []
     for mu in x.index.above(limit=h.mu_max):
         probe = _probe_lambda(x, mu, mu, h)
-        keys, limit, extra = _keys(x, mu, h, finite, uniform, "mu")
+        keys, limit, extra = _keys(x, mu, h, uniform, "mu")
         rec = WitnessRecord(mu, probe, None, extra=extra)
         q_probe = x.bond(mu, probe)
         reason = ("no relative cone top-leg" if uniform
@@ -508,15 +499,15 @@ def _c0_search(prop: str, x: InverseSystem, c0_objects, h: Horizon,
                            "left", x.bond(mu, k), compose(q_probe, hm))]) is None),
                       None)
         if failed is not None:
-            per_mu.append((_FAILED, failed))
+            per_mu.append((FAILS_AT_HORIZON, failed))
         elif not finite and is_zero_morphism(q_probe):
             rec.rule = "zero-map"
-            per_mu.append((_CERTIFIED, rec))
-        elif not finite and _periodic_covered(x, limit):
+            per_mu.append((HOLDS_STABILIZED, rec))
+        elif _periodic_covered(x, limit):
             rec.rule = "eventual-periodicity"
-            per_mu.append((_CERTIFIED, rec))
+            per_mu.append((HOLDS_STABILIZED, rec))
         else:
-            per_mu.append((_EXACT if finite else _AT_HORIZON, rec))
+            per_mu.append((HOLDS_AT_HORIZON, rec))
     return _assemble(prop, per_mu, h, finite)
 
 

@@ -63,10 +63,11 @@ def _enc_int(n: int) -> str:
 
 
 def _dec_int(s) -> int:
-    try:
-        return int(s)
-    except (TypeError, ValueError):
-        raise DocumentError(f"not a decimal integer: {s!r}") from None
+    """The integer a decimal string spells: ASCII digits after an optional
+    minus sign.  A JSON number or boolean is refused, not truncated."""
+    if not (isinstance(s, str) and s.isascii() and s.removeprefix("-").isdigit()):
+        raise DocumentError(f"not a decimal integer: {s!r}")
+    return int(s)
 
 
 def object_to_dict(obj) -> dict:
@@ -177,7 +178,7 @@ def _build_family(doc: dict, seed_override):
         tuple(sorted((k, _dec_int(v))
                      for k, v in _field(doc, "params", dict, {}).items())),
         seed_override if seed_override is not None
-        else _dec_int(doc.get("seed", 0))))
+        else _dec_int(doc.get("seed", "0"))))
 
 
 def system_from_dict(doc: dict, seed_override=None) -> InverseSystem:
@@ -198,8 +199,8 @@ def system_from_dict(doc: dict, seed_override=None) -> InverseSystem:
             bonds[(lo, hi)] = morphism_from_dict(mspec)
         for a in poset.members():
             bonds.setdefault((a, a), identity(objects[a]))
-            for b in poset.members():
-                if a != b and poset.leq(a, b) and (a, b) not in bonds:
+            for b in poset.above(a):
+                if (a, b) not in bonds:
                     raise DocumentError(f"missing bond for pair ({a!r}, {b!r})")
         flags = _flags_from_dict(_field(doc, "flags", dict, {}))
         return InverseSystem(poset, objects=objects, bonds=bonds, flags=flags,
@@ -249,9 +250,16 @@ def morphism_from_doc(doc: dict, seed_override=None) -> SystemMorphism:
         return identity_morphism(source)
     target = (system_from_dict(doc["target"], seed_override)
               if "target" in doc else source)
-    if not is_finite_index(target.index):
-        raise DocumentError("morphism tables need a finite target index poset")
-    mdoc = _field(doc, "morphism")
+    return _table_morphism(doc, "morphism", source, target)
+
+
+def _table_morphism(doc: dict, key: str, source: InverseSystem,
+                    target: InverseSystem) -> SystemMorphism:
+    """The morphism source -> target given by the {phi, f} tables doc[key]
+    of two finite-poset systems."""
+    if not (is_finite_index(source.index) and is_finite_index(target.index)):
+        raise DocumentError("morphism tables need finite index posets")
+    mdoc = _field(doc, key)
     phi_table = {mu: lam for mu, lam in _table(mdoc, "phi", 2, labels=2)}
     f_table = {mu: morphism_from_dict(spec) for mu, spec in _table(mdoc, "f", 2, labels=1)}
     missing = [mu for mu in target.index.members()
@@ -529,12 +537,9 @@ def cmd_compose(args, out) -> int:
         raise DocumentError("compose needs 'morphism' and 'morphism2'")
     f = morphism_from_doc(doc, args.seed)
     # morphism2 runs out of the first morphism's target
-    doc2 = dict(doc.get("target", doc), morphism=doc["morphism2"])
-    if "target2" in doc:
-        doc2["target"] = doc["target2"]
-    g = morphism_from_doc(doc2, args.seed)
-    g = SystemMorphism(f.target, g.target, g.phi, g.f, name=g.name)
-    h = compose_morphisms(g, f)
+    target = (system_from_dict(doc["target2"], args.seed)
+              if "target2" in doc else f.target)
+    h = compose_morphisms(_table_morphism(doc, "morphism2", f.target, target), f)
     report = {
         "phi": [[_key_to_json(nu)[1], _key_to_json(h.phi(nu))[1]]
                 for nu in h.target.index.members()],
@@ -555,10 +560,7 @@ def cmd_equiv(args, out) -> int:
     if "morphism2" not in doc:
         raise DocumentError("equiv needs 'morphism' and 'morphism2'")
     f = morphism_from_doc(doc, args.seed)
-    doc2 = dict(doc)
-    doc2["morphism"] = doc["morphism2"]
-    g = morphism_from_doc(doc2, args.seed)
-    g = SystemMorphism(f.source, f.target, g.phi, g.f, name=g.name)
+    g = _table_morphism(doc, "morphism2", f.source, f.target)
     eq = are_equivalent(f, g, mu_max=args.horizon_mu,
                         lambda_max=args.horizon_lambda)
     out.write(("equivalent" if eq else "not equivalent") + "\n")
@@ -604,28 +606,36 @@ def build_parser() -> argparse.ArgumentParser:
                     "and their morphisms.")
     sub = parser.add_subparsers(dest="command", required=True)
     box = Horizon()
+    options = {
+        "input": dict(help="instance document (JSON)"),
+        "--horizon-mu": dict(type=int, default=box.mu_max),
+        "--horizon-lambda": dict(type=int, default=box.lambda_max),
+        "--horizon-muprime": dict(type=int, default=box.muprime_max),
+        "--cone-depth": dict(type=int, default=box.cone_max),
+        "--format": dict(choices=["text", "structured"], default="text"),
+        "--seed": dict(type=int, default=None),
+    }
 
-    def add_common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("input", help="instance document (JSON)")
-        p.add_argument("--horizon-mu", type=int, default=box.mu_max)
-        p.add_argument("--horizon-lambda", type=int, default=box.lambda_max)
-        p.add_argument("--horizon-muprime", type=int, default=box.muprime_max)
-        p.add_argument("--cone-depth", type=int, default=box.cone_max)
-        p.add_argument("--format", choices=["text", "structured"],
-                       default="text")
-        p.add_argument("--seed", type=int, default=None)
+    def add(p, *names):
+        # each command declares only the options its cmd_* function reads
+        for name in names:
+            p.add_argument(name, **options[name])
 
-    add_common(sub.add_parser("validate", help="check system/morphism axioms"))
+    horizon = ("--horizon-mu", "--horizon-lambda", "--horizon-muprime",
+               "--cone-depth")
+    add(sub.add_parser("validate", help="check system/morphism axioms"),
+        "input", "--seed")
     pc = sub.add_parser("check", help="decide a property")
     pc.add_argument("property", choices=PROPERTY_CHOICES)
     pc.add_argument("--oracle", action="store_true",
                     help="brute-force reference run (small finite inputs)")
-    add_common(pc)
-    add_common(sub.add_parser("compose", help="compose two morphisms"))
-    add_common(sub.add_parser("equiv", help="test pro-morphism equivalence"))
-    add_common(sub.add_parser("demo", help="run the worked example"),
-               needs_input=False)
+    add(pc, "input", *horizon, "--format", "--seed")
+    add(sub.add_parser("compose", help="compose two morphisms"),
+        "input", "--format", "--seed")
+    add(sub.add_parser("equiv", help="test pro-morphism equivalence"),
+        "input", "--horizon-mu", "--horizon-lambda", "--seed")
+    add(sub.add_parser("demo", help="run the worked example"),
+        *horizon, "--format")
     return parser
 
 

@@ -24,14 +24,13 @@ from .categories import (
     forgetful_to_sets,
     identity,
 )
-from .indexsets import NAT, FiniteDirectedPoset, IndexMap
+from .indexsets import NAT, FiniteDirectedPoset, IndexMap, is_finite_index
 from .intlinalg import IntMatrix
 from .systems import (
     InverseSystem,
     SystemFlags,
     SystemMorphism,
     compose_morphisms,
-    constant_bond_system,
     identity_morphism,
 )
 
@@ -97,7 +96,11 @@ def constant_system(obj) -> InverseSystem:
 
 
 def constant_poset_system(poset: FiniteDirectedPoset, obj) -> InverseSystem:
-    return constant_bond_system(poset, obj, name="constant-poset")
+    """Identity bonds on one object over a finite poset."""
+    return InverseSystem(
+        poset, objects={lam: obj for lam in poset.members()},
+        bonds={(a, b): identity(obj) for a in poset.members() for b in poset.above(a)},
+        name="constant-poset")
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +286,7 @@ def random_sequence_morphism(seed: int, backend: str = "abelian") -> SystemMorph
     choices.append(identity_morphism(x))
     shift = rng.randrange(1, 4)
     choices.append(SystemMorphism(
-        x, x, IndexMap(NAT, NAT, rule=lambda n, s=shift: n + s,
-                       rule_name=f"shift+{shift}"),
+        x, x, IndexMap(NAT, NAT, rule=lambda n, s=shift: n + s),
         lambda n, s=shift: x.bond(n, n + s), name="bond-restriction"))
     if backend == "abelian":
         c = rng.randrange(0, 5)
@@ -322,11 +324,10 @@ def perturb_equivalent(f: SystemMorphism, seed: int) -> SystemMorphism:
     corresponding bond, f'_mu = f_mu o p_{phi(mu) phi'(mu)}."""
     rng = random.Random(seed)
     x = f.source
-    if x.is_sequence():
+    if not is_finite_index(x.index):
         shift = rng.randrange(1, 4)
         phi2 = IndexMap(f.target.index, x.index,
-                        rule=lambda n, s=shift: f.phi(n) + s,
-                        rule_name=f"perturbed+{shift}")
+                        rule=lambda n, s=shift: f.phi(n) + s)
         return SystemMorphism(
             x, f.target, phi2,
             lambda mu, s=shift: compose(f.f(mu), x.bond(f.phi(mu), f.phi(mu) + s)),
@@ -377,7 +378,7 @@ def apply_forgetful(f: SystemMorphism) -> SystemMorphism:
     """Image of an abelian morphism under the forgetful functor to pointed
     sets; only defined when every object in range is finite."""
     def conv_system(x: InverseSystem) -> InverseSystem:
-        if x.is_sequence():
+        if not is_finite_index(x.index):
             return InverseSystem(
                 NAT,
                 object_rule=lambda n: forgetful_object(x.object_at(n)),
@@ -385,11 +386,8 @@ def apply_forgetful(f: SystemMorphism) -> SystemMorphism:
                 flags=x.flags, name=f"U({x.name})")
         objects = {lam: forgetful_object(x.object_at(lam))
                    for lam in x.index.members()}
-        bonds = {}
-        for a in x.index.members():
-            for b in x.index.members():
-                if x.index.leq(a, b):
-                    bonds[(a, b)] = forgetful_to_sets(x.bond(a, b))
+        bonds = {(a, b): forgetful_to_sets(x.bond(a, b))
+                 for a in x.index.members() for b in x.index.above(a)}
         return InverseSystem(x.index, objects=objects, bonds=bonds,
                              flags=x.flags, name=f"U({x.name})")
 

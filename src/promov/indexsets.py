@@ -132,7 +132,6 @@ class IndexMap:
     target: IndexSet
     table: Optional[dict] = None
     rule: Optional[Callable[[int], int]] = None
-    rule_name: str = ""
 
     def __call__(self, x):
         if self.table is not None:
@@ -145,7 +144,7 @@ class IndexMap:
     def identity(idx: IndexSet) -> "IndexMap":
         if isinstance(idx, FiniteDirectedPoset):
             return IndexMap(idx, idx, table={x: x for x in idx.elements})
-        return IndexMap(idx, idx, rule=lambda n: n, rule_name="identity")
+        return IndexMap(idx, idx, rule=lambda n: n)
 
     @staticmethod
     def from_table(source: IndexSet, target: IndexSet, table: dict) -> "IndexMap":

@@ -7,11 +7,11 @@ decomposition with unimodular U, V) and :func:`solve_congruence_system`
 equation over the integers).
 
 :func:`snf` applies its row operations to a ``left`` matrix and its column
-operations to a ``right`` one, the identities by default.  The solvers pass
+operations to a ``right`` one, the identities by default.  The solver passes
 the right-hand side b as ``left``, so the Smith form carries U*b instead of
-U, and as ``right`` only the identity rows whose part of V*w they return:
-all of them for :func:`solve_linear_system`, the first ``a.cols`` for
-:func:`solve_congruence_system`, whose slack unknowns are never read.
+U, and as ``right`` only the first ``a.cols`` identity rows, so V*w gives x
+and never the slack unknowns.  An integer linear system A*x = b is the
+congruence system with every modulus 0.
 """
 
 from __future__ import annotations
@@ -242,50 +242,17 @@ def snf(a: IntMatrix, left: Optional[IntMatrix] = None,
     )
 
 
-def _back_substitute(a: IntMatrix, b: Sequence[int], keep: int) -> Optional[list]:
-    """The first ``keep`` entries of one integer solution x of A*x = b, or
-    None if there is none.
-
-    Decided exactly through the Smith form: with U*A*V = D the system
-    becomes D*w = U*b, each equation of which is divisibility, and x = V*w.
-    The Smith form carries b as its ``left``, so it returns U*b, and only
-    the first ``keep`` identity rows as its ``right``, so it returns only
-    the rows of V that are read.
-    """
-    dec = snf(a, IntMatrix(a.rows, 1, tuple(b)),
-              IntMatrix(keep, a.cols, tuple(1 if i == j else 0
-                                            for i in range(keep)
-                                            for j in range(a.cols))))
-    ub = dec.U.entries
-    diag = dec.diagonal()
-    w = [0] * a.cols
-    for i in range(a.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % d != 0:
-                return None
-            w[i] = ub[i] // d
-    return dec.V.mul_vector(w)
-
-
-def solve_linear_system(a: IntMatrix, b: Sequence[int]) -> Optional[list]:
-    """One integer solution x of A*x = b, or None if there is none."""
-    if a.rows != len(b):
-        raise ValueError("right-hand side length mismatch")
-    return _back_substitute(a, b, a.cols)
-
-
 def solve_congruence_system(a: IntMatrix, b: Sequence[int],
                             moduli: Sequence[int]) -> Optional[list]:
     """One x with (A*x)_i == b_i (mod m_i), m_i = 0 meaning exact equality.
 
     None is a proof of non-existence: the congruences are rewritten as an
-    integer linear system with one slack unknown per nonzero modulus and
-    solved exactly.  Only the first ``a.cols`` unknowns, x itself, are
-    computed.
+    integer linear system E*y = b with one slack unknown per nonzero modulus
+    and decided exactly through the Smith form.  With U*E*V = D the system
+    becomes D*w = U*b, each equation of which is divisibility, and y = V*w.
+    The Smith form carries b as its ``left``, so it returns U*b, and only
+    the first ``a.cols`` identity rows as its ``right``, so it returns only
+    the rows of V that give x; the slack unknowns are never computed.
     """
     if a.rows != len(b) or a.rows != len(moduli):
         raise ValueError("dimension mismatch between matrix, rhs and moduli")
@@ -300,5 +267,22 @@ def solve_congruence_system(a: IntMatrix, b: Sequence[int],
             tail[k] = m
             k += 1
         ext += tail
-    return _back_substitute(IntMatrix(a.rows, a.cols + slack, tuple(ext)),
-                            b, a.cols)
+    width = a.cols + slack
+    dec = snf(IntMatrix(a.rows, width, tuple(ext)),
+              IntMatrix(a.rows, 1, tuple(b)),
+              IntMatrix(a.cols, width, tuple(1 if i == j else 0
+                                             for i in range(a.cols)
+                                             for j in range(width))))
+    ub = dec.U.entries
+    diag = dec.diagonal()
+    w = [0] * width
+    for i in range(a.rows):
+        d = diag[i] if i < len(diag) else 0
+        if d == 0:
+            if ub[i] != 0:
+                return None
+        else:
+            if ub[i] % d != 0:
+                return None
+            w[i] = ub[i] // d
+    return dec.V.mul_vector(w)

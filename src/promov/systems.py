@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 from . import categories as cat
 from .categories import BackendError, Morphism, Object, compose, identity, morphisms_equal
-from .indexsets import FiniteDirectedPoset, IndexMap, IndexSet, is_finite_index
+from .indexsets import IndexMap, IndexSet, is_finite_index
 
 
 @dataclass(frozen=True)
@@ -87,14 +87,6 @@ class InverseSystem:
             return bonds[(lo, hi)]
         return self._bonds[(lo, hi)]
 
-    def indices(self, horizon: int):
-        """Index range for horizon-bounded loops: all elements of a finite
-        poset, or 0..horizon on the chain."""
-        return list(self.index.above(limit=horizon))
-
-    def is_sequence(self) -> bool:
-        return not is_finite_index(self.index)
-
     def top(self, horizon: int):
         """Greatest in-range index: poset greatest element, or the horizon."""
         if is_finite_index(self.index):
@@ -134,9 +126,9 @@ class ConeMorphism:
     def validate(self, horizon: int) -> list:
         out = []
         idx = self.target.index
-        for m1 in self.target.indices(horizon):
-            for m2 in self.target.indices(horizon):
-                if m1 != m2 and idx.leq(m1, m2):
+        for m1 in idx.above(limit=horizon):
+            for m2 in idx.above(m1, limit=horizon):
+                if m2 != m1:
                     lhs = compose(self.target.bond(m1, m2), self.leg(m2))
                     if not morphisms_equal(lhs, self.leg(m1)):
                         out.append(f"cone leg incompatibility at ({m1!r}, {m2!r})")
@@ -147,6 +139,14 @@ class ConeMorphism:
 # validation
 
 
+def _step_pairs(idx: IndexSet, horizon: int) -> list:
+    """The pairs a < b a validation walks: every comparable pair of a finite
+    poset, or the adjacent pairs (n, n + 1) below the horizon on the chain."""
+    if is_finite_index(idx):
+        return [(a, b) for a in idx.members() for b in idx.above(a) if b != a]
+    return [(n, n + 1) for n in range(horizon)]
+
+
 def validate_system(x: InverseSystem, horizon: int = 8) -> list:
     """Identity and functoriality of the bonds; declared flags spot-checked.
 
@@ -155,42 +155,36 @@ def validate_system(x: InverseSystem, horizon: int = 8) -> list:
     """
     out = []
     idx = x.index
-    members = x.indices(horizon)
+    members = idx.above(limit=horizon)
     for lam in members:
         b = x.bond(lam, lam)
         if not morphisms_equal(b, identity(x.object_at(lam))):
             out.append(f"bond p[{lam!r},{lam!r}] is not the identity")
     if is_finite_index(idx):
         for a in members:
-            for b in members:
-                if not idx.leq(a, b):
-                    continue
+            for b in idx.above(a):
                 bond = x.bond(a, b)
                 if bond.source != x.object_at(b) or bond.target != x.object_at(a):
                     out.append(f"bond p[{a!r},{b!r}] has wrong endpoints")
                     continue
-                for c in members:
-                    if idx.leq(b, c):
-                        lhs = compose(x.bond(a, b), x.bond(b, c))
-                        if not morphisms_equal(lhs, x.bond(a, c)):
-                            out.append(f"functoriality violation at ({a!r},{b!r},{c!r})")
+                for c in idx.above(b):
+                    lhs = compose(x.bond(a, b), x.bond(b, c))
+                    if not morphisms_equal(lhs, x.bond(a, c)):
+                        out.append(f"functoriality violation at ({a!r},{b!r},{c!r})")
     else:
         for n in range(horizon):
             step = x.bond(n, n + 1)
             if step.source != x.object_at(n + 1) or step.target != x.object_at(n):
                 out.append(f"step bond at {n} has wrong endpoints")
     if x.flags.all_bondings_epimorphic:
-        pairs = ([(a, b) for a in members for b in members
-                  if a != b and idx.leq(a, b)] if is_finite_index(idx)
-                 else [(n, n + 1) for n in range(horizon)])
-        for a, b in pairs:
+        for a, b in _step_pairs(idx, horizon):
             if not cat.is_epimorphism(x.bond(a, b)):
                 out.append(f"declared epimorphic, but p[{a!r},{b!r}] is not epi")
     if x.flags.eventually_periodic is not None:
         off, per = x.flags.eventually_periodic
         if per < 1 or off < 0:
             out.append("eventually_periodic flag has invalid parameters")
-        elif not x.is_sequence():
+        elif is_finite_index(idx):
             out.append("eventually_periodic flag only applies to sequences")
         else:
             for n in range(off, horizon - per):
@@ -230,18 +224,13 @@ def validate_morphism(f: SystemMorphism, horizon: int = 8) -> list:
     lambda_horizon = 2 * horizon + 1
     out = []
     x, y = f.source, f.target
-    for mu in y.indices(horizon):
+    for mu in y.index.above(limit=horizon):
         comp = f.f(mu)
         if comp.source != x.object_at(f.phi(mu)) or comp.target != y.object_at(mu):
             out.append(f"component at {mu!r} has wrong endpoints")
     if out:
         return out
-    if is_finite_index(y.index):
-        pairs = [(a, b) for a in y.indices(horizon) for b in y.indices(horizon)
-                 if a != b and y.index.leq(a, b)]
-    else:
-        pairs = [(n, n + 1) for n in range(horizon)]
-    for mu, mu2 in pairs:
+    for mu, mu2 in _step_pairs(y.index, horizon):
         lows = (f.phi(mu), f.phi(mu2))
         # on the chain the candidates always reach the larger low
         limit = (lambda_horizon if is_finite_index(x.index)
@@ -269,7 +258,7 @@ def compose_morphisms(g: SystemMorphism, f: SystemMorphism) -> SystemMorphism:
         raise BackendError("composition endpoint mismatch")
     psi, phi = g.phi, f.phi
     chi = IndexMap(g.target.index, f.source.index,
-                   rule=lambda nu: phi(psi(nu)), rule_name="composite")
+                   rule=lambda nu: phi(psi(nu)))
     return SystemMorphism(f.source, g.target, chi,
                           lambda nu: compose(g.f(nu), f.f(psi(nu))),
                           name=f"{g.name}o{f.name}")
@@ -287,25 +276,11 @@ def are_equivalent(f: SystemMorphism, g: SystemMorphism,
     if f.source != g.source or f.target != g.target:
         raise BackendError("equivalence requires identical endpoints")
     x, y = f.source, f.target
-    for mu in y.indices(mu_max):
+    for mu in y.index.above(limit=mu_max):
         lows = (f.phi(mu), g.phi(mu))
-        cands = [max(lambda_max, *lows)] if x.is_sequence() else x.index.above(*lows)
+        cands = (x.index.above(*lows) if is_finite_index(x.index)
+                 else [max(lambda_max, *lows)])
         if not any(morphisms_equal(restrict(f, mu, lam), restrict(g, mu, lam))
                    for lam in cands):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# convenience constructors
-
-
-def constant_bond_system(index: FiniteDirectedPoset, obj: Object,
-                         name: str = "") -> InverseSystem:
-    objects = {lam: obj for lam in index.members()}
-    bonds = {}
-    for a in index.members():
-        for b in index.members():
-            if index.leq(a, b):
-                bonds[(a, b)] = identity(obj)
-    return InverseSystem(index, objects=objects, bonds=bonds, name=name)

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, document parsing, output formats."""
 
+import argparse
+import ast
 import contextlib
 import functools
 import io
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import promov
+from promov import cli
 from promov.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INTERNAL,
@@ -23,6 +26,7 @@ from promov.cli import (
     EXIT_POSITIVE,
     DocumentError,
     _write_json,
+    build_parser,
     main,
     object_from_dict,
     verdict_from_dict,
@@ -167,6 +171,43 @@ def test_unknown_property_rejected_by_parser(tmp_path):
     assert exc.value.code == 2
 
 
+def _args_read(functions, name) -> set:
+    """The attributes a cli function reads off ``args``, with those of
+    _horizon_from_args where it calls that."""
+    fn = functions[name]
+    read = {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)
+            and isinstance(n.value, ast.Name) and n.value.id == "args"}
+    if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+           and n.func.id == "_horizon_from_args" for n in ast.walk(fn)):
+        read |= _args_read(functions, "_horizon_from_args")
+    return read
+
+
+def test_each_command_declares_exactly_the_options_it_reads():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {n.name: n for n in ast.walk(tree)
+                 if isinstance(n, ast.FunctionDef)}
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {"validate", "check", "compose", "equiv", "demo"}
+    for command, parser in sub.choices.items():
+        declared = {a.dest for a in parser._actions
+                    if not isinstance(a, argparse._HelpAction)}
+        assert declared == _args_read(functions, f"cmd_{command}"), command
+
+
+@pytest.mark.parametrize("argv", [
+    ["compose", "doc.json", "--horizon-mu", "3"],
+    ["demo", "--seed", "1"],
+    ["validate", "doc.json", "--format", "structured"],
+    ["equiv", "doc.json", "--cone-depth", "3"]])
+def test_options_a_command_does_not_read_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_compose_and_equiv(tmp_path):
     doc = chain_doc()
     z4 = abelian(4)
@@ -308,6 +349,47 @@ def test_structured_stdout_is_json_dumps(tmp_path):
 def test_string_factors_are_refused():
     with pytest.raises(DocumentError, match="'factors' must be a list"):
         object_from_dict({"kind": "abelian", "factors": "12"})
+
+
+# integers travel as ASCII decimal strings: anything else is refused, never
+# truncated or read leniently
+NOT_DECIMAL = [4.7, True, 2.9, 3, None, "1_0", " 5", "5 ", "+5", "", "-",
+               "--5", "\u0663", "\uff15", "12a"]
+
+
+@pytest.mark.parametrize("value", NOT_DECIMAL)
+def test_non_decimal_integers_are_refused(value):
+    with pytest.raises(DocumentError, match="not a decimal integer"):
+        object_from_dict({"kind": "abelian", "factors": [value]})
+    with pytest.raises(DocumentError, match="not a decimal integer"):
+        object_from_dict({"kind": "pointed_set", "size": value})
+
+
+def test_decimal_strings_are_read():
+    assert object_from_dict({"kind": "abelian", "factors": ["-0", "012", "4"]}
+                            ).factors == (0, 12, 4)
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "abelian", "factors": [4.7, True]},
+    {"kind": "pointed_set", "size": 2.9}])
+def test_number_valued_object_exits_2(tmp_path, capsys, spec):
+    doc = {"index": {"kind": "finite", "elements": ["a"], "pairs": []},
+           "objects": {"a": spec}, "bonds": []}
+    code, text = run(["check", "movable", write(tmp_path, doc)])
+    assert code == EXIT_PARSE and text == ""
+    assert "not a decimal integer" in capsys.readouterr().err
+
+
+def test_missing_seed_means_0_and_a_number_seed_is_refused(tmp_path):
+    doc = {"index": {"kind": "nat"}, "family": "set_sequence"}
+    unseeded = run(["check", "movable", write(tmp_path, doc, "a.json")])
+    seeded = run(["check", "movable",
+                  write(tmp_path, dict(doc, seed="0"), "b.json")])
+    assert unseeded == seeded and unseeded[1]
+    code, text = run(["check", "movable",
+                      write(tmp_path, dict(doc, seed=0), "c.json")])
+    assert code == EXIT_PARSE and text == ""
 
 
 def _with(**changes):

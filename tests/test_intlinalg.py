@@ -11,7 +11,6 @@ from promov.intlinalg import (
     IntMatrix,
     snf,
     solve_congruence_system,
-    solve_linear_system,
 )
 
 
@@ -104,11 +103,11 @@ def test_snf_refuses_mismatched_carried_shapes():
 
 def test_linear_solver():
     a = IntMatrix.from_rows([[2, 0], [0, 3]])
-    assert solve_linear_system(a, [4, 9]) == [2, 3]
-    assert solve_linear_system(a, [1, 0]) is None
+    assert solve_congruence_system(a, [4, 9], [0, 0]) == [2, 3]
+    assert solve_congruence_system(a, [1, 0], [0, 0]) is None
     # underdetermined
     a = IntMatrix.from_rows([[1, 2]])
-    x = solve_linear_system(a, [5])
+    x = solve_congruence_system(a, [5], [0])
     assert x[0] + 2 * x[1] == 5
 
 
@@ -283,7 +282,7 @@ def test_congruence_solutions_are_pinned():
     seen = {"congruence": [0, 0], "linear": [0, 0]}
     for a, b, moduli in _solver_digest_corpus():
         for kind, x in (("congruence", solve_congruence_system(a, b, moduli)),
-                        ("linear", solve_linear_system(a, b))):
+                        ("linear", solve_congruence_system(a, b, [0] * len(b)))):
             seen[kind][x is None] += 1
             h.update(repr((kind, x)).encode())
     # both solvers answer both ways on the corpus

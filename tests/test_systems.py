@@ -12,7 +12,12 @@ from promov.categories import (
     identity,
 )
 from promov import systems
-from promov.families import example_2_27, constant_system, rudimentary
+from promov.families import (
+    constant_poset_system,
+    constant_system,
+    example_2_27,
+    rudimentary,
+)
 from promov.indexsets import NAT, FiniteDirectedPoset, IndexMap
 from promov.systems import (
     ConeMorphism,
@@ -21,7 +26,6 @@ from promov.systems import (
     SystemMorphism,
     are_equivalent,
     compose_morphisms,
-    constant_bond_system,
     identity_morphism,
     restrict,
     validate_morphism,
@@ -170,7 +174,7 @@ def test_rudimentary_and_constant():
     r = rudimentary(Z(2))
     assert len(r.index.members()) == 1
     assert validate_system(r) == []
-    c = constant_bond_system(FiniteDirectedPoset.chain(("a", "b")), Z(2))
+    c = constant_poset_system(FiniteDirectedPoset.chain(("a", "b")), Z(2))
     assert validate_system(c) == []
 
 
