@@ -182,17 +182,22 @@ _MISS = object()
 def _solver():
     """Factorization solver for one checker call, memoized on the problem.
 
-    A repeated problem gets back the very morphism (or None) that
-    solve_factorization produced and verified the first time.  The memo is
-    dropped with the checker call that made it.
+    solve(source, target, triples) takes the constraints as (side, L, R)
+    triples and looks up the plain tuple (source, target, triples).  Only a
+    miss builds the Constraints and the FactorizationProblem, so a problem
+    is built and type-checked only when it is solved, and every answer is
+    verified by solve_factorization.  A repeated problem gets back the very
+    morphism (or None) produced the first time.  The memo is dropped with
+    the checker call that made it.
     """
     memo = {}
 
-    def solve(source, target, constraints) -> Optional[Morphism]:
-        p = FactorizationProblem(source, target, tuple(constraints))
-        u = memo.get(p, _MISS)
+    def solve(source, target, triples) -> Optional[Morphism]:
+        key = (source, target, triples)
+        u = memo.get(key, _MISS)
         if u is _MISS:
-            u = memo[p] = solve_factorization(p)
+            u = memo[key] = solve_factorization(FactorizationProblem(
+                source, target, tuple(Constraint(*t) for t in triples)))
         return u
 
     return solve
@@ -283,7 +288,7 @@ def _search_mu(f: SystemMorphism, mu, h: Horizon, co: bool, kind: str,
     inconclusive = False
     verified = None
     for k in keys:
-        one_sided = [Constraint("left", left(k), flam)]
+        one_sided = (("left", left(k), flam),)
         # the one-sided equation is implied by the two-sided one, so its
         # failure is a genuine refutation even when no lambda* is in range
         u = solve(x.object_at(lam), z.object_at(k), one_sided)
@@ -299,8 +304,8 @@ def _search_mu(f: SystemMorphism, mu, h: Horizon, co: bool, kind: str,
                 # every admissible lambda* lies past the horizon: untestable
                 continue
             for lamstar in candidates:
-                u = solve(x.object_at(lam), z.object_at(k), one_sided + [
-                    Constraint("right", x.bond(lam, lamstar), right(k, lamstar))])
+                u = solve(x.object_at(lam), z.object_at(k), one_sided + (
+                    ("right", x.bond(lam, lamstar), right(k, lamstar)),))
                 if u is not None:
                     break
             if u is None:
@@ -495,8 +500,8 @@ def _c0_search(prop: str, x: InverseSystem, c0_objects, h: Horizon,
         failed = next((Refutation(mu, probe, k, reason)
                        for k in keys for x0 in c0_objects
                        for hm in cat.enumerate_homs(x0, x.object_at(probe))
-                       if solve(x0, x.object_at(k), [Constraint(
-                           "left", x.bond(mu, k), compose(q_probe, hm))]) is None),
+                       if solve(x0, x.object_at(k), ((
+                           "left", x.bond(mu, k), compose(q_probe, hm)),)) is None),
                       None)
         if failed is not None:
             per_mu.append((FAILS_AT_HORIZON, failed))

@@ -245,6 +245,9 @@ def morphism_from_doc(doc: dict, seed_override=None) -> SystemMorphism:
                 return identity_morphism(G)
             raise DocumentError(f"unknown select value {select!r}")
         return identity_morphism(built)
+    if "target" in doc and "morphism" not in doc:
+        raise DocumentError("a document with a 'target' needs a 'morphism' "
+                            "into it")
     source = system_from_dict(doc, seed_override)
     if "morphism" not in doc:
         return identity_morphism(source)

@@ -2,9 +2,11 @@
 
 Finite-poset systems carry full bond tables and are checked exactly.
 Sequence systems (over the natural-number chain) carry generator rules for
-objects and step bonds; composite bonds are derived and cached, and all
-judgments about them are horizon-bounded.  A system morphism caches its
-restrictions f_{mu lam} the same way: each is composed once per morphism.
+objects and step bonds; all judgments about them are horizon-bounded.  A
+system hands out one value per request: each object, step and identity bond
+is built once, and each composite bond is composed once, all cached on the
+system.  A system morphism caches its components f_mu and its restrictions
+f_{mu lam} the same way: each is built or composed once per morphism.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ class InverseSystem:
             self._bonds = {}
             self._object_rule = object_rule
             self._step_rule = step_rule
+        self._steps = {}  # n -> step_rule(n), filled by _step
 
     def object_at(self, lam) -> Object:
         if self._object_rule is not None:
@@ -68,11 +71,7 @@ class InverseSystem:
         if not self.index.leq(lo, hi):
             raise ValueError(f"bond requested for non-comparable pair ({lo!r}, {hi!r})")
         if lo == hi:
-            # finite tables may carry (possibly wrong) diagonal entries that
-            # validate_system must be able to see
-            if self._step_rule is None and (lo, hi) in self._bonds:
-                return self._bonds[(lo, hi)]
-            return identity(self.object_at(lo))
+            return self._identity(lo)
         if self._step_rule is not None:
             bonds = self._bonds
             if (lo, hi) not in bonds:
@@ -81,11 +80,26 @@ class InverseSystem:
                 k = hi - 1
                 while k > lo and (lo, k) not in bonds:
                     k -= 1
-                p = bonds[(lo, k)] if k > lo else identity(self.object_at(lo))
+                p = bonds[(lo, k)] if k > lo else self._identity(lo)
                 for n in range(k, hi):
-                    p = bonds[(lo, n + 1)] = compose(p, self._step_rule(n))
+                    p = bonds[(lo, n + 1)] = compose(p, self._step(n))
             return bonds[(lo, hi)]
         return self._bonds[(lo, hi)]
+
+    def _identity(self, lam) -> Morphism:
+        # finite tables may carry (possibly wrong) diagonal entries that
+        # validate_system must be able to see; otherwise the identity is
+        # built once and kept in the bond table
+        p = self._bonds.get((lam, lam))
+        if p is None:
+            p = self._bonds[(lam, lam)] = identity(self.object_at(lam))
+        return p
+
+    def _step(self, n) -> Morphism:
+        s = self._steps.get(n)
+        if s is None:
+            s = self._steps[n] = self._step_rule(n)
+        return s
 
     def top(self, horizon: int):
         """Greatest in-range index: poset greatest element, or the horizon."""
@@ -105,10 +119,14 @@ class SystemMorphism:
         self.phi = phi
         self._component = component
         self.name = name
+        self._components = {}  # mu -> f_mu, filled by f
         self._restrictions = {}  # (mu, lam) -> f_{mu lam}, filled by restrict
 
     def f(self, mu) -> Morphism:
-        return self._component(mu)
+        c = self._components.get(mu)
+        if c is None:
+            c = self._components[mu] = self._component(mu)
+        return c
 
 
 class ConeMorphism:

@@ -225,6 +225,27 @@ def test_one_check_solves_each_distinct_problem_once(monkeypatch):
     assert len(problems) == 2 * first
 
 
+def test_one_check_builds_only_the_problems_it_solves(monkeypatch):
+    # the memo is keyed by plain tuples: a FactorizationProblem is built
+    # (and type-checked) only on a miss, for the solver call it feeds
+    built, solved = [], []
+    problem, solve = checkers.FactorizationProblem, checkers.solve_factorization
+
+    def building(*args):
+        built.append(args)
+        return problem(*args)
+
+    def counting(p):
+        solved.append(p)
+        return solve(p)
+
+    monkeypatch.setattr(checkers, "FactorizationProblem", building)
+    monkeypatch.setattr(checkers, "solve_factorization", counting)
+    v = check("strongly_movable", domination_pair(3)[0], H)
+    assert v.status == HOLDS_STABILIZED
+    assert solved and len(built) == len(solved)
+
+
 @pytest.mark.parametrize("prop", ["uniformly_movable", "uniformly_co_movable"])
 def test_cone_depth_below_mu_is_refused(prop):
     # every mu of example 2.27 has a zero-map witness; a cone top below mu

@@ -429,6 +429,11 @@ MALFORMED = {
     "phi index is a list": (
         _with(morphism={"phi": [[["a"], "a"]], "f": []}),
         "an index in 'phi' must be a string or a number, not list"),
+    "target without a morphism": (
+        _with(target={"index": {"kind": "finite", "elements": ["a"],
+                                "pairs": []},
+                      "objects": {"a": abelian(2)}, "bonds": []}),
+        "'target' needs a 'morphism'"),
     "set sequence period is 0": (
         {"index": {"kind": "nat"}, "family": "set_sequence",
          "params": {"period": "0"}},

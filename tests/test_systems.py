@@ -185,3 +185,57 @@ def test_deep_sequence_bond_does_not_recurse():
     # the composite is cached at every intermediate stage and agrees with a
     # one-step extension of the cached stage below it
     assert morphisms_equal(deep, compose(G.bond(0, 1499), G.bond(1499, 1500)))
+
+
+def test_each_step_is_built_once():
+    steps = []
+
+    def step(n):
+        steps.append(n)
+        return abelian_scalar(Z(0), 2)
+
+    x = InverseSystem(NAT, object_rule=lambda n: Z(0), step_rule=step)
+    for lo in range(14):
+        assert x.bond(lo, 13).matrix.at(0, 0) == 2 ** (13 - lo)
+    assert sorted(steps) == list(range(13))
+
+
+def test_identity_bonds_are_built_once():
+    x = constant_system(Z(4))
+    for n in range(4):
+        assert x.bond(n, n) is x.bond(n, n)
+        assert morphisms_equal(x.bond(n, n), identity(Z(4)))
+    p = FiniteDirectedPoset.chain(("a", "b"))
+    y = InverseSystem(p, objects={"a": Z(4), "b": Z(4)},
+                      bonds={("a", "b"): identity(Z(4))})
+    assert y.bond("a", "a") is y.bond("a", "a")
+
+
+def test_each_component_is_built_once():
+    F, G, f = example_2_27()
+    calls = []
+
+    def component(mu):
+        calls.append(mu)
+        return f.f(mu)
+
+    g = SystemMorphism(F, G, f.phi, component)
+    for mu in (0, 3, 3, 5, 0):
+        assert g.f(mu) is g.f(mu)
+        restrict(g, mu, mu + 2)
+    assert calls == [0, 3, 5]
+
+
+def test_diagonal_bond_from_a_table_is_returned_as_given():
+    p = FiniteDirectedPoset.chain(("a", "b"))
+    z4 = Z(4)
+    times3 = abelian_scalar(z4, 3)
+    wrong = InverseSystem(p, objects={"a": z4, "b": z4},
+                          bonds={("a", "a"): times3, ("a", "b"): identity(z4)})
+    assert wrong.bond("a", "a") is times3
+    assert "bond p['a','a'] is not the identity" in validate_system(wrong)
+    # without diagonal entries the table gives the identity
+    right = InverseSystem(p, objects={"a": z4, "b": z4},
+                          bonds={("a", "b"): identity(z4)})
+    assert morphisms_equal(right.bond("a", "a"), identity(z4))
+    assert validate_system(right) == []
