@@ -22,8 +22,10 @@ and a kind:
     source   X  k >= phi(mu)   f_{mu k}  w o p_{lambda lambda*} = p_{k lambda*}
 
     kind     plain (movable, co_movable), strong (strongly_*: adds the
-             lambda* equation), uniform (uniformly_*: the single key top, the
-             greatest in-range index; a cone is fixed by its top leg)
+             lambda* equation; the two-sided problem is solved first, and
+             the one-sided one only to classify a failure), uniform
+             (uniformly_*: the single key top, the greatest in-range index; a
+             cone is fixed by its top leg)
 """
 
 from __future__ import annotations
@@ -242,7 +244,8 @@ def _search_mu(f: SystemMorphism, mu, h: Horizon, co: bool, kind: str,
                finite: bool, solve):
     """(status, record) for one mu: a witness w : X_lambda -> Z_k with
     L_k o w = f_{mu lambda} at every key k, plus the lambda* equation of a
-    strong search."""
+    strong search.  A strong search solves the two-sided problem first and
+    the one-sided one only where that finds no witness."""
     x, y = f.source, f.target
     z, low = (x, f.phi(mu)) if co else (y, mu)
     # left(k) = L_k and right(k, lamstar) = the right side of the lambda*
@@ -288,27 +291,34 @@ def _search_mu(f: SystemMorphism, mu, h: Horizon, co: bool, kind: str,
     inconclusive = False
     verified = None
     for k in keys:
+        src, tgt = x.object_at(lam), z.object_at(k)
         one_sided = (("left", left(k), flam),)
-        # the one-sided equation is implied by the two-sided one, so its
-        # failure is a genuine refutation even when no lambda* is in range
-        u = solve(x.object_at(lam), z.object_at(k), one_sided)
-        if u is None:
-            reason = (f"no {'co-' if co else ''}cone top-leg factorization"
-                      if kind == _UNIFORM else
-                      f"no factorization through the deeper "
-                      f"{'restriction' if co else 'bond'}")
-            return FAILS_AT_HORIZON, Refutation(mu, lam, k, reason)
+        u = None
         if kind == _STRONG:
+            # the two-sided problem first: a solution also solves the
+            # one-sided equation, and it is the recorded witness
             candidates = stars(lam, k)
-            if not candidates:
-                # every admissible lambda* lies past the horizon: untestable
-                continue
             for lamstar in candidates:
-                u = solve(x.object_at(lam), z.object_at(k), one_sided + (
+                u = solve(src, tgt, one_sided + (
                     ("right", x.bond(lam, lamstar), right(k, lamstar)),))
                 if u is not None:
+                    rec.extra[k] = {"lambda_star": lamstar}
                     break
+        if u is None:
+            # the one-sided equation is implied by the two-sided one, so its
+            # failure is a genuine refutation even when no lambda* is in
+            # range; a strong search solves it only to classify its failure
+            u = solve(src, tgt, one_sided)
             if u is None:
+                reason = (f"no {'co-' if co else ''}cone top-leg factorization"
+                          if kind == _UNIFORM else
+                          f"no factorization through the deeper "
+                          f"{'restriction' if co else 'bond'}")
+                return FAILS_AT_HORIZON, Refutation(mu, lam, k, reason)
+            if kind == _STRONG:
+                if not candidates:
+                    # every admissible lambda* lies past the horizon: untestable
+                    continue
                 if finite:
                     return FAILS_AT_HORIZON, Refutation(
                         mu, lam, k, f"no two-sided {'co-' if co else ''}"
@@ -317,7 +327,6 @@ def _search_mu(f: SystemMorphism, mu, h: Horizon, co: bool, kind: str,
                 # in-range exhaustion proves nothing either way
                 inconclusive = True
                 continue
-            rec.extra[k] = {"lambda_star": lamstar}
         verified = k
         rec.witnesses[k] = u
     if inconclusive:

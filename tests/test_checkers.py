@@ -225,6 +225,44 @@ def test_one_check_solves_each_distinct_problem_once(monkeypatch):
     assert len(problems) == 2 * first
 
 
+def _recording_solver(monkeypatch) -> list:
+    """(problem, solution) of every solver call, in call order."""
+    solved = []
+    solve = checkers.solve_factorization
+
+    def recording(p):
+        u = solve(p)
+        solved.append((p, u))
+        return u
+
+    monkeypatch.setattr(checkers, "solve_factorization", recording)
+    return solved
+
+
+def test_strong_search_solves_one_sided_problems_only_to_classify(monkeypatch):
+    solved = _recording_solver(monkeypatch)
+    # every key of this box has a lambda* in range and a two-sided witness,
+    # which also solves the one-sided equation
+    box = Horizon(lambda_max=13)
+    assert check("strongly_movable", domination_pair(3)[0], box).status == HOLDS_STABILIZED
+    assert solved and all(len(p.constraints) == 2 for p, _ in solved)
+
+    # example 2.27 at the default box: a one-sided problem (source, target,
+    # L-constraint) is solved only at keys whose two-sided problems were
+    # all unsolvable, or where no lambda* lies in range
+    solved.clear()
+    assert check("strongly_movable", example_2_27()[2], H).status == UNKNOWN
+
+    def head(p):
+        return p.source, p.target, p.constraints[0]
+
+    one_sided = {head(p) for p, _ in solved if len(p.constraints) == 1}
+    tried = {head(p) for p, _ in solved if len(p.constraints) == 2}
+    witnessed = {head(p) for p, u in solved if len(p.constraints) == 2 and u is not None}
+    assert witnessed and not one_sided & witnessed
+    assert one_sided & tried and one_sided - tried
+
+
 def test_one_check_builds_only_the_problems_it_solves(monkeypatch):
     # the memo is keyed by plain tuples: a FactorizationProblem is built
     # (and type-checked) only on a miss, for the solver call it feeds
