@@ -188,13 +188,14 @@ def _co_movable(strong: bool):
 
 
 def _cone_exists(system: InverseSystem, source_obj, homs: _Homs, budget: _Budget,
-                 fixed: dict = None, leg_ok=None) -> bool:
+                 first, fixed: dict = None, leg_ok=None) -> bool:
     """Exhaustive backtracking over full leg families leg: members -> Hom,
     honoring fixed legs, the predicate leg_ok(member, leg) when given, and
-    cone compatibility.  Semantically identical to enumerating the full
-    product of hom-sets."""
+    cone compatibility.  The constrained leg at first is placed first, the
+    others in members() order.  Semantically identical to enumerating the
+    full product of hom-sets."""
     poset = system.index
-    members = list(poset.members())
+    members = [first] + [m for m in poset.members() if m != first]
     fixed = fixed or {}
     legs = {}
 
@@ -227,14 +228,14 @@ def _cone_exists(system: InverseSystem, source_obj, homs: _Homs, budget: _Budget
 
 
 def _uniformly_movable(f, mu, lam, homs, budget):
-    return _cone_exists(f.target, f.source.object_at(lam), homs, budget,
+    return _cone_exists(f.target, f.source.object_at(lam), homs, budget, mu,
                         fixed={mu: restrict(f, mu, lam)})
 
 
 def _uniformly_co_movable(f, mu, lam, homs, budget):
     # a cone into the source whose leg r at phi(mu) has f_mu r = f_{mu lam}
     pm, flam = f.phi(mu), restrict(f, mu, lam)
-    return _cone_exists(f.source, f.source.object_at(lam), homs, budget,
+    return _cone_exists(f.source, f.source.object_at(lam), homs, budget, pm,
                         leg_ok=lambda m, leg: m != pm or morphisms_equal(
                             compose(f.f(mu), leg), flam))
 
