@@ -244,8 +244,7 @@ def _search_mu(f: SystemMorphism, mu, h: Horizon, co: bool, kind: str,
                finite: bool, solve):
     """(status, record) for one mu: a witness w : X_lambda -> Z_k with
     L_k o w = f_{mu lambda} at every key k, plus the lambda* equation of a
-    strong search.  A strong search solves the two-sided problem first and
-    the one-sided one only where that finds no witness."""
+    strong search."""
     x, y = f.source, f.target
     z, low = (x, f.phi(mu)) if co else (y, mu)
     # left(k) = L_k and right(k, lamstar) = the right side of the lambda*

@@ -107,11 +107,8 @@ def test_cone_search_work_is_pinned(monkeypatch):
 
 # One digest over every oracle verdict (as ``verdict_to_dict`` writes it) and
 # the budget units it spent, for all seven properties, and over which of those
-# checks a cap of 200 units refuses.  The verdicts alone are those recorded
-# before the per-property search loops were folded into one; the budget units
-# were re-recorded when the cone search began placing its constrained leg
-# first.  A changed verdict, a changed admissible set or one budget unit spent
-# more, less or elsewhere shows up here.
+# checks a cap of 200 units refuses.  A changed verdict, a changed admissible
+# set or one budget unit spent more, less or elsewhere shows up here.
 ORACLE_DIGEST = "5c1a95e488ed8c93922ad16481c76837bd4a3982c5ba65f4c15a8f66583b4036"
 ORACLE_SMALL_CAP = 200
 ORACLE_SMALL_CAP_REFUSALS = 48
