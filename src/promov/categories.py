@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, prod
+from operator import mul
 from typing import Iterator, Optional, Union
 
 from .intlinalg import IntMatrix, solve_congruence_system
@@ -64,12 +65,14 @@ class FgAbelianMorphism:
     matrix: IntMatrix  # target.rank rows x source.rank cols
 
     def __post_init__(self):
-        if self.matrix.rows != self.target.rank or self.matrix.cols != self.source.rank:
+        m, sf, tf = self.matrix, self.source.factors, self.target.factors
+        c, ent = m.cols, m.entries
+        if m.rows != len(tf) or c != len(sf):
             raise BackendError("matrix shape does not match source/target ranks")
-        for i, e in enumerate(self.target.factors):
-            for j, d in enumerate(self.source.factors):
-                v = d * self.matrix.at(i, j)
-                if (e == 0 and v != 0) or (e != 0 and v % e != 0):
+        for i, e in enumerate(tf):
+            for j, (d, v) in enumerate(zip(sf, ent[i * c:(i + 1) * c])):
+                v *= d
+                if (v % e if e else v) != 0:
                     raise BackendError(
                         f"matrix entry ({i},{j}) does not respect source relations")
 
@@ -190,9 +193,19 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     if g.source != f.target:
         raise BackendError("source/target mismatch in composition")
     if isinstance(g, FgAbelianMorphism):
-        # reduced before it is built, so the composite is validated once
-        return FgAbelianMorphism(f.source, g.target,
-                                 _reduce(g.matrix.mul(f.matrix), g.target.factors))
+        # the product reduced row by row as it is formed: one matrix, and
+        # the composite is validated once
+        a, b = g.matrix, f.matrix
+        k, c, ea = a.cols, b.cols, a.entries
+        cols = [b.entries[j::c] for j in range(c)]
+        out = []
+        for i, e in enumerate(g.target.factors):
+            ri = ea[i * k:(i + 1) * k]
+            if e:
+                out += [sum(map(mul, ri, cj)) % e for cj in cols]
+            else:
+                out += [sum(map(mul, ri, cj)) for cj in cols]
+        return FgAbelianMorphism(f.source, g.target, IntMatrix(a.rows, c, tuple(out)))
     return PointedMap(f.source, g.target, tuple(g.images[v] for v in f.images))
 
 

@@ -7,6 +7,15 @@ system hands out one value per request: each object, step and identity bond
 is built once, and each composite bond is composed once, all cached on the
 system.  A system morphism caches its components f_mu and its restrictions
 f_{mu lam} the same way: each is built or composed once per morphism.
+
+On a sequence a missing composite is derived from its nearest cached
+neighbour, one compose per stage: a bond from a shorter bond with the same
+low end or the same high end, a restriction f_{mu lam} from f_{mu, lam-1}.
+So the order of the requests decides which composites are formed, but never
+a value.  A composite of abelian morphisms is reduced into canonical
+residues mod its target's factors, and that residue matrix is determined by
+the homomorphism alone; so every bracketing of one chain of steps gives
+equal entries.  Pointed maps compose exactly.
 """
 
 from __future__ import annotations
@@ -67,23 +76,37 @@ class InverseSystem:
         return self._objects[lam]
 
     def bond(self, lo, hi) -> Morphism:
-        """p_{lo,hi} : X_hi -> X_lo, for lo <= hi."""
+        """p_{lo,hi} : X_hi -> X_lo, for lo <= hi.
+
+        On a sequence a miss extends the deepest cached p_{lo,k}, k < hi,
+        up to hi; when there is none it builds p_{n,hi} down from the
+        shallowest cached p_{m,hi}, m > lo, or from the identity at hi.
+        Either way each stage is one compose, cached on the way."""
         if not self.index.leq(lo, hi):
             raise ValueError(f"bond requested for non-comparable pair ({lo!r}, {hi!r})")
         if lo == hi:
             return self._identity(lo)
         if self._step_rule is not None:
             bonds = self._bonds
-            if (lo, hi) not in bonds:
-                # p_{lo,n+1} = p_{lo,n} o step(n), caching every p_{lo,n} on
-                # the way up from the deepest one already cached
+            p = bonds.get((lo, hi))
+            if p is None:
                 k = hi - 1
                 while k > lo and (lo, k) not in bonds:
                     k -= 1
-                p = bonds[(lo, k)] if k > lo else self._identity(lo)
-                for n in range(k, hi):
-                    p = bonds[(lo, n + 1)] = compose(p, self._step(n))
-            return bonds[(lo, hi)]
+                if k > lo:
+                    # up: p_{lo,n+1} = p_{lo,n} o step(n)
+                    p = bonds[(lo, k)]
+                    for n in range(k, hi):
+                        p = bonds[(lo, n + 1)] = compose(p, self._step(n))
+                else:
+                    # down: p_{n,hi} = step(n) o p_{n+1,hi}
+                    m = lo + 1
+                    while m < hi and (m, hi) not in bonds:
+                        m += 1
+                    p = bonds[(m, hi)] if m < hi else self._identity(hi)
+                    for n in range(m - 1, lo - 1, -1):
+                        p = bonds[(n, hi)] = compose(self._step(n), p)
+            return p
         return self._bonds[(lo, hi)]
 
     def _identity(self, lam) -> Morphism:
@@ -220,14 +243,22 @@ def restrict(f: SystemMorphism, mu, lam) -> Morphism:
     """f_{mu lam} = f_mu o p_{phi(mu) lam}, defined for lam >= phi(mu).
 
     Composed once per morphism and cached on it, like the source's bonds;
-    a lam below phi(mu) raises ValueError and caches nothing."""
+    a lam below phi(mu) raises ValueError and caches nothing.  On a sequence
+    with f_{mu, lam-1} cached it is f_{mu, lam-1} o p_{lam-1, lam}, one
+    compose and the same value (see the module docstring)."""
     table = f._restrictions
     r = table.get((mu, lam))
     if r is None:
-        pm = f.phi(mu)
-        if not f.source.index.leq(pm, lam):
-            raise ValueError(f"restriction index {lam!r} is not >= phi({mu!r}) = {pm!r}")
-        r = table[(mu, lam)] = compose(f.f(mu), f.source.bond(pm, lam))
+        x = f.source
+        prev = None if is_finite_index(x.index) else table.get((mu, lam - 1))
+        if prev is not None:
+            r = compose(prev, x.bond(lam - 1, lam))
+        else:
+            pm = f.phi(mu)
+            if not x.index.leq(pm, lam):
+                raise ValueError(f"restriction index {lam!r} is not >= phi({mu!r}) = {pm!r}")
+            r = compose(f.f(mu), x.bond(pm, lam))
+        table[(mu, lam)] = r
     return r
 
 

@@ -96,7 +96,9 @@ def _random_abelian_hom(rng, a, b):
 
 def test_compose_matches_reduced_product():
     rng = random.Random(7)
-    pool = [(0,), (2,), (4,), (6,), (0, 3), (2, 0), (4, 6), (0, 0), (9, 2, 0)]
+    # the rank-0 object, and moduli at the 2^53 scale of the deep ladder rungs
+    pool = [(0,), (2,), (4,), (6,), (0, 3), (2, 0), (4, 6), (0, 0), (9, 2, 0),
+            (), (2 ** 53,), (2 ** 52, 0), (3 ** 34, 2 ** 53)]
     for _ in range(300):
         a, b, c = (FgAbelianObject(rng.choice(pool)) for _ in range(3))
         f, g = _random_abelian_hom(rng, a, b), _random_abelian_hom(rng, b, c)
@@ -289,5 +291,6 @@ def test_witness_check_survives_optimize_flag():
     )
     src = str(Path(promov.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          env={"PYTHONPATH": src}, capture_output=True, text=True)
+                          env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

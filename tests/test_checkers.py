@@ -312,5 +312,6 @@ def test_zero_witness_check_survives_optimize_flag():
     )
     src = str(Path(promov.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          env={"PYTHONPATH": src}, capture_output=True, text=True)
+                          env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

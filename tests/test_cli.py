@@ -469,8 +469,8 @@ def test_commands_in_one_process_match_separate_runs(tmp_path):
     src = str(Path(promov.__file__).resolve().parents[1])
     for argv in argvs:
         proc = subprocess.run([sys.executable, "-m", "promov.cli", *argv],
-                              env={"PYTHONPATH": src}, capture_output=True,
-                              text=True)
+                              env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+                              capture_output=True, text=True)
         assert run(argv) == (proc.returncode, proc.stdout)
 
 

@@ -1,5 +1,8 @@
 """Inverse systems, morphisms, composition, equivalence."""
 
+import random
+from functools import reduce
+
 import pytest
 
 from promov.categories import (
@@ -16,6 +19,9 @@ from promov.families import (
     constant_poset_system,
     constant_system,
     example_2_27,
+    random_abelian_sequence,
+    random_sequence_morphism,
+    random_set_sequence,
     rudimentary,
 )
 from promov.indexsets import NAT, FiniteDirectedPoset, IndexMap
@@ -182,8 +188,7 @@ def test_deep_sequence_bond_does_not_recurse():
     F, G, f = example_2_27()
     deep = G.bond(0, 1500)
     assert deep.source == G.object_at(1500) and deep.target == G.object_at(0)
-    # the composite is cached at every intermediate stage and agrees with a
-    # one-step extension of the cached stage below it
+    # the composite agrees with a one-step extension of the stage below it
     assert morphisms_equal(deep, compose(G.bond(0, 1499), G.bond(1499, 1500)))
 
 
@@ -239,3 +244,60 @@ def test_diagonal_bond_from_a_table_is_returned_as_given():
                           bonds={("a", "b"): identity(z4)})
     assert morphisms_equal(right.bond("a", "a"), identity(z4))
     assert validate_system(right) == []
+
+
+def test_each_requested_composite_costs_one_compose(monkeypatch):
+    composed = []
+    real = systems.compose
+    monkeypatch.setattr(systems, "compose",
+                        lambda g, h: composed.append(g) or real(g, h))
+    # every bond into 12, shallowest first: built down from 12 once
+    F, G, f = example_2_27()
+    for k in range(13):
+        assert F.bond(k, 12).matrix.at(0, 0) == 2 ** (12 - k)
+    assert len(composed) <= 12
+    # every restriction f_{mu lam} with mu <= 6: one compose each, from
+    # f_{mu, lam-1}, plus one per step bond of F
+    F, G, f = example_2_27()
+    composed.clear()
+    for mu in range(7):
+        for lam in range(mu, 13):
+            assert restrict(f, mu, lam).matrix.at(0, 0) == 2 ** (lam - mu) % 2 ** mu
+    # F's objects are all Z, and f's components land in the finite G_mu
+    step_composes = sum(g.target == Z(0) for g in composed)
+    assert step_composes <= 12 and len(composed) - step_composes <= 70
+
+
+def _left_fold(steps, x, lo, hi):
+    """p_{lo,hi} = (...((1 o s_lo) o s_{lo+1}) ...) o s_{hi-1}."""
+    return reduce(compose, (steps[n] for n in range(lo, hi)), identity(x.object_at(lo)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: example_2_27()[2],
+    lambda: identity_morphism(random_abelian_sequence(3)),
+    lambda: identity_morphism(random_set_sequence(5, period=3)),
+    lambda: random_sequence_morphism(0),  # phi(n) = n + 2
+    lambda: random_sequence_morphism(5, "pointed_set"),  # phi(n) = n + 3
+], ids=["example_2_27", "abelian_sequence", "set_sequence",
+        "shifted_abelian", "shifted_set"])
+def test_request_order_never_changes_a_value(build):
+    top = 12
+    reference = build()
+    steps = {x: [x.bond(n, n + 1) for n in range(top)]
+             for x in (reference.source, reference.target)}
+    pairs = [(a, b) for a in range(top + 1) for b in range(a, top + 1)]
+    shuffled = pairs[:]
+    random.Random(0).shuffle(shuffled)
+    orders = [sorted(pairs), sorted(pairs, key=lambda p: (-p[0], p[1])),
+              sorted(pairs, key=lambda p: (p[1], p[0])), shuffled]
+    for order in orders:
+        f = build()  # fresh systems, empty caches
+        x, y = f.source, f.target
+        assert f.name == reference.name
+        for a, b in order:
+            for z, ref in ((x, reference.source), (y, reference.target)):
+                assert z.bond(a, b) == _left_fold(steps[ref], z, a, b)
+            if f.phi(a) <= b:
+                assert restrict(f, a, b) == compose(
+                    f.f(a), _left_fold(steps[reference.source], x, f.phi(a), b))
