@@ -78,10 +78,13 @@ class InverseSystem:
     def bond(self, lo, hi) -> Morphism:
         """p_{lo,hi} : X_hi -> X_lo, for lo <= hi.
 
-        On a sequence a miss extends the deepest cached p_{lo,k}, k < hi,
-        up to hi; when there is none it builds p_{n,hi} down from the
-        shallowest cached p_{m,hi}, m > lo, or from the identity at hi.
-        Either way each stage is one compose, cached on the way."""
+        On a sequence a miss extends the deepest cached p_{lo,k},
+        lo + 1 < k < hi, up to hi.  Without one it builds p_{n,hi} down from
+        the shallowest cached p_{m,hi}, m > lo, or from the identity at hi.
+        Each stage is one compose, cached on the way.  A step bond
+        p_{lo,lo+1} starts no chain up: restrict caches the step bonds
+        everywhere, and a chain from one saves a single compose but fills
+        no p_{n,hi} for the next low end n to ask for."""
         if not self.index.leq(lo, hi):
             raise ValueError(f"bond requested for non-comparable pair ({lo!r}, {hi!r})")
         if lo == hi:
@@ -91,9 +94,9 @@ class InverseSystem:
             p = bonds.get((lo, hi))
             if p is None:
                 k = hi - 1
-                while k > lo and (lo, k) not in bonds:
+                while k > lo + 1 and (lo, k) not in bonds:
                     k -= 1
-                if k > lo:
+                if k > lo + 1:
                     # up: p_{lo,n+1} = p_{lo,n} o step(n)
                     p = bonds[(lo, k)]
                     for n in range(k, hi):

@@ -256,6 +256,14 @@ def test_each_requested_composite_costs_one_compose(monkeypatch):
     for k in range(13):
         assert F.bond(k, 12).matrix.at(0, 0) == 2 ** (12 - k)
     assert len(composed) <= 12
+    # the same with every step bond cached, as restrictions leave them
+    F, G, f = example_2_27()
+    for n in range(12):
+        F.bond(n, n + 1)
+    composed.clear()
+    for k in range(13):
+        assert F.bond(k, 12).matrix.at(0, 0) == 2 ** (12 - k)
+    assert len(composed) <= 12
     # every restriction f_{mu lam} with mu <= 6: one compose each, from
     # f_{mu, lam-1}, plus one per step bond of F
     F, G, f = example_2_27()
