@@ -353,6 +353,17 @@ def _extra_from_json(items: list) -> dict:
 
 
 def verdict_to_dict(v: Verdict) -> dict:
+    """v as a JSON-ready document.  Equal witness morphisms share one dict
+    (``morphism_to_dict`` runs once per distinct morphism), so the document
+    is read-only: a change to one copy shows in every place it stands."""
+    memo = {}
+
+    def morphism(m) -> dict:
+        d = memo.get(m)
+        if d is None:
+            d = memo[m] = morphism_to_dict(m)
+        return d
+
     return {
         "property": v.property,
         "status": v.status,
@@ -365,7 +376,7 @@ def verdict_to_dict(v: Verdict) -> dict:
             "mu": _key_to_json(w.mu),
             "index": None if w.index is None else _key_to_json(w.index),
             "rule": w.rule,
-            "witnesses": [[_key_to_json(k), morphism_to_dict(m)]
+            "witnesses": [[_key_to_json(k), morphism(m)]
                           for k, m in w.witnesses.items()],
             "extra": _extra_to_json(w.extra),
         } for w in v.witnesses],
@@ -454,12 +465,18 @@ def exit_code_for(v: Verdict) -> int:
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _encode(o, pad: str) -> str:
+def _encode(o, pad: str, memo: dict) -> str:
     """o as ``json.dumps(o, indent=2, sort_keys=True)`` writes it when o
     starts at indentation ``pad``.  Plain str, list, tuple and str-keyed
     dict are written here; every other value goes through ``json.dumps``
     itself, re-indented (json escapes every newline inside a string, so
-    each newline in its output starts a line)."""
+    each newline in its output starts a line).
+
+    ``memo`` maps ``(id(d), pad)`` to the text of each str-keyed dict d
+    already written, so a dict placed twice at the same indentation is
+    walked once.  The text depends on pad, hence the pair.  Ids are safe
+    keys only while every dict in the memo stays alive, which holds for
+    the duration of one ``_write_json`` call: the document holds them."""
     t = type(o)
     if t is str:
         return _quote(o)
@@ -468,16 +485,23 @@ def _encode(o, pad: str) -> str:
             return "[]"
         inner = pad + "  "
         return ("[\n" + inner
-                + (",\n" + inner).join([_encode(x, inner) for x in o])
+                + (",\n" + inner).join([_encode(x, inner, memo) for x in o])
                 + "\n" + pad + "]")
     if t is dict and o:
+        key = (id(o), pad)
+        text = memo.get(key)
+        if text is not None:
+            return text
         inner = pad + "  "
         try:
-            items = [_quote(k) + ": " + _encode(o[k], inner) for k in sorted(o)]
+            items = [_quote(k) + ": " + _encode(o[k], inner, memo)
+                     for k in sorted(o)]
         except TypeError:  # a non-str key, which json.dumps converts, or
             pass           # a value it refuses, which it raises for again
         else:
-            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+            text = memo[key] = ("{\n" + inner + (",\n" + inner).join(items)
+                                + "\n" + pad + "}")
+            return text
     if o is None:
         return "null"
     return json.dumps(o, indent=2, sort_keys=True).replace("\n", "\n" + pad)
@@ -487,8 +511,11 @@ def _write_json(obj, out):
     """Writes obj and a newline, byte for byte as ``json.dump(obj, out,
     indent=2, sort_keys=True)`` followed by ``out.write("\\n")`` would, with
     one write for the document.  (With ``indent`` set, ``json`` runs its
-    pure-Python encoder, which makes one write per token.)"""
-    out.write(_encode(obj, ""))
+    pure-Python encoder, which makes one write per token.)  Each dict that
+    obj holds more than once at one indentation, as ``verdict_to_dict``
+    shares equal witness morphisms, is encoded once; the memo lives only
+    for this call, while obj keeps every dict in it alive."""
+    out.write(_encode(obj, "", {}))
     out.write("\n")
 
 

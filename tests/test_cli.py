@@ -329,6 +329,44 @@ def test_byte_identity_check_catches_a_separator_slip():
         assert_writes_like_json_dumps(slipped, pinned_verdict_dicts())
 
 
+def test_write_json_matches_json_dumps_on_shared_subtrees():
+    # _write_json pastes the text of a dict it has already written at the
+    # same indentation; a dict met again at another depth, and a list met
+    # twice, must still come out as json.dumps writes them
+    leaf = {"kind": "pointed_map", "images": ["0", "1"], "z": None}
+    shared_list = [leaf, "x", ["1", "2"]]
+    assert_writes_like_json_dumps(_write_json, [
+        [leaf, leaf],
+        {"a": leaf, "b": leaf, "c": [leaf]},
+        {"a": leaf, "b": {"deeper": leaf, "list": [[leaf]]}},
+        [shared_list, {"again": shared_list}, shared_list],
+        {"outer": {"k": leaf}, "same": {"k": leaf}},
+    ])
+
+
+def test_verdict_to_dict_builds_each_distinct_witness_once(monkeypatch):
+    calls = []
+    to_dict = cli.morphism_to_dict
+    monkeypatch.setattr(cli, "morphism_to_dict",
+                        lambda m: calls.append(m) or to_dict(m))
+    F, G, f = example_2_27()
+    repeated = False
+    for m in (f, identity_morphism(F), identity_morphism(G)):
+        for prop in PROPERTIES:
+            v = check(prop, m, Horizon(14, 52, 53, 53))
+            placed = [x for w in v.witnesses for x in w.witnesses.values()]
+            calls.clear()
+            d = verdict_to_dict(v)
+            assert sorted(map(repr, calls)) == sorted(map(repr, set(placed)))
+            repeated |= len(placed) > len(set(placed))
+            assert json.loads(json.dumps(d)) == d
+            back = verdict_from_dict(d)
+            assert [w.witnesses for w in back.witnesses] == [
+                w.witnesses for w in v.witnesses]
+            assert verdict_to_dict(back) == d
+    assert repeated  # co_movable of f places one witness 705 times
+
+
 def test_structured_stdout_is_json_dumps(tmp_path):
     z4 = abelian(4)
     ident = abelian_map(z4, z4, [["1"]])
