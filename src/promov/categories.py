@@ -65,38 +65,28 @@ class FgAbelianMorphism:
     matrix: IntMatrix  # target.rank rows x source.rank cols
 
     def __post_init__(self):
+        # the one storage decision: row i in canonical residues mod the
+        # target factor e_i, a Z row (e_i = 0) as given; so equal
+        # homomorphisms have equal matrices and compare ==
         m, sf, tf = self.matrix, self.source.factors, self.target.factors
         c, ent = m.cols, m.entries
         if m.rows != len(tf) or c != len(sf):
             raise BackendError("matrix shape does not match source/target ranks")
+        canonical = True
         for i, e in enumerate(tf):
             for j, (d, v) in enumerate(zip(sf, ent[i * c:(i + 1) * c])):
-                v *= d
-                if (v % e if e else v) != 0:
+                if v * d % e if e else v * d:
                     raise BackendError(
                         f"matrix entry ({i},{j}) does not respect source relations")
-
-    def reduced(self) -> "FgAbelianMorphism":
-        """Entries reduced into canonical residues mod the target relations."""
-        return FgAbelianMorphism(self.source, self.target,
-                                 _reduce(self.matrix, self.target.factors))
+                if e and not 0 <= v < e:
+                    canonical = False
+        if not canonical:
+            object.__setattr__(self, "matrix", IntMatrix(m.rows, c, tuple(
+                v % e if e else v
+                for i, e in enumerate(tf) for v in ent[i * c:(i + 1) * c])))
 
     def is_zero(self) -> bool:
-        for i, e in enumerate(self.target.factors):
-            for j in range(self.source.rank):
-                v = self.matrix.at(i, j)
-                if (v % e if e else v) != 0:
-                    return False
-        return True
-
-
-def _reduce(matrix: IntMatrix, mods: tuple) -> IntMatrix:
-    """Row i reduced into canonical residues mod mods[i]; modulus 0 (a Z
-    summand) leaves its row as it is."""
-    c, ent = matrix.cols, matrix.entries
-    return IntMatrix(matrix.rows, c, tuple(
-        v % e if e else v
-        for i, e in enumerate(mods) for v in ent[i * c:(i + 1) * c]))
+        return not any(self.matrix.entries)
 
 
 def abelian_identity(obj: FgAbelianObject) -> FgAbelianMorphism:
@@ -193,8 +183,8 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     if g.source != f.target:
         raise BackendError("source/target mismatch in composition")
     if isinstance(g, FgAbelianMorphism):
-        # the product reduced row by row as it is formed: one matrix, and
-        # the composite is validated once
+        # the product reduced row by row as it is formed: one matrix, which
+        # the constructor validates once and finds already canonical
         a, b = g.matrix, f.matrix
         k, c, ea = a.cols, b.cols, a.entries
         cols = [b.entries[j::c] for j in range(c)]
@@ -214,14 +204,7 @@ def morphisms_equal(f: Morphism, g: Morphism) -> bool:
         raise BackendError("cannot compare across backends")
     if f.source != g.source or f.target != g.target:
         raise BackendError("cannot compare morphisms with different endpoints")
-    if isinstance(f, PointedMap):
-        return f.images == g.images
-    for i, e in enumerate(f.target.factors):
-        for j in range(f.source.rank):
-            d = f.matrix.at(i, j) - g.matrix.at(i, j)
-            if (d % e if e else d) != 0:
-                return False
-    return True
+    return f == g
 
 
 def is_epimorphism(f: Morphism) -> bool:
@@ -335,8 +318,7 @@ def _solve_abelian(p: FactorizationProblem) -> Optional[FgAbelianMorphism]:
     x = solve_congruence_system(IntMatrix(len(rhs), nvars, tuple(flat)), rhs, mods)
     if x is None:
         return None
-    m = IntMatrix(T.rank, S.rank, tuple(x))
-    return FgAbelianMorphism(S, T, m).reduced()
+    return FgAbelianMorphism(S, T, IntMatrix(T.rank, S.rank, tuple(x)))
 
 
 def _solve_pointed(p: FactorizationProblem) -> Optional[PointedMap]:

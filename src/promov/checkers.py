@@ -444,7 +444,7 @@ def mittag_leffler(f: SystemMorphism, h: Horizon = Horizon()) -> Verdict:
                 f"horizon: {[p.presentation for _, p in chain]}")
             per_mu.append((UNKNOWN, WitnessRecord(
                 mu, None, None,
-                extra={"chain": [p.presentation for _, p in chain]})))
+                extra={"chain": tuple(p.presentation for _, p in chain)})))
     return _assemble("mittag_leffler", per_mu, h, finite, notes=notes)
 
 

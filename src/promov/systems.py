@@ -4,18 +4,18 @@ Finite-poset systems carry full bond tables and are checked exactly.
 Sequence systems (over the natural-number chain) carry generator rules for
 objects and step bonds; all judgments about them are horizon-bounded.  A
 system hands out one value per request: each object, step and identity bond
-is built once, and each composite bond is composed once, all cached on the
-system.  A system morphism caches its components f_mu and its restrictions
+is built once, and each composite bond is composed once, all kept in the
+system's tables (the step bonds in the bond table, under (n, n + 1)).  A system morphism caches its components f_mu and its restrictions
 f_{mu lam} the same way: each is built or composed once per morphism.
 
 On a sequence a missing composite is derived from its nearest cached
 neighbour, one compose per stage: a bond from a shorter bond with the same
 low end or the same high end, a restriction f_{mu lam} from f_{mu, lam-1}.
 So the order of the requests decides which composites are formed, but never
-a value.  A composite of abelian morphisms is reduced into canonical
-residues mod its target's factors, and that residue matrix is determined by
-the homomorphism alone; so every bracketing of one chain of steps gives
-equal entries.  Pointed maps compose exactly.
+a value.  Every abelian morphism is stored canonically, in residues mod its
+target's factors, and that matrix is determined by the homomorphism alone;
+so every bracketing of one chain of steps gives equal entries.  Pointed maps
+compose exactly.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ class InverseSystem:
             self._bonds = {}
             self._object_rule = object_rule
             self._step_rule = step_rule
-        self._steps = {}  # n -> step_rule(n), filled by _step
 
     def object_at(self, lam) -> Object:
         if self._object_rule is not None:
@@ -78,11 +77,12 @@ class InverseSystem:
     def bond(self, lo, hi) -> Morphism:
         """p_{lo,hi} : X_hi -> X_lo, for lo <= hi.
 
-        On a sequence a miss extends the deepest cached p_{lo,k},
-        lo + 1 < k < hi, up to hi.  Without one it builds p_{n,hi} down from
-        the shallowest cached p_{m,hi}, m > lo, or from the identity at hi.
-        Each stage is one compose, cached on the way.  A step bond
-        p_{lo,lo+1} starts no chain up: restrict caches the step bonds
+        On a sequence the step bond p_{n,n+1} is step_rule(n), built once
+        and kept in the bond table.  A longer miss extends the deepest cached
+        p_{lo,k}, lo + 1 < k < hi, up to hi.  Without one it builds p_{n,hi}
+        down from the shallowest cached p_{m,hi}, m > lo, or from the step
+        bond into hi.  Each stage is one compose, cached on the way.  A step
+        bond p_{lo,lo+1} starts no chain up: restrict caches the step bonds
         everywhere, and a chain from one saves a single compose but fills
         no p_{n,hi} for the next low end n to ask for."""
         if not self.index.leq(lo, hi):
@@ -93,22 +93,25 @@ class InverseSystem:
             bonds = self._bonds
             p = bonds.get((lo, hi))
             if p is None:
+                if hi == lo + 1:
+                    p = bonds[(lo, hi)] = self._step_rule(lo)
+                    return p
                 k = hi - 1
                 while k > lo + 1 and (lo, k) not in bonds:
                     k -= 1
                 if k > lo + 1:
-                    # up: p_{lo,n+1} = p_{lo,n} o step(n)
+                    # up: p_{lo,n+1} = p_{lo,n} o p_{n,n+1}
                     p = bonds[(lo, k)]
                     for n in range(k, hi):
-                        p = bonds[(lo, n + 1)] = compose(p, self._step(n))
+                        p = bonds[(lo, n + 1)] = compose(p, self.bond(n, n + 1))
                 else:
-                    # down: p_{n,hi} = step(n) o p_{n+1,hi}
+                    # down: p_{n,hi} = p_{n,n+1} o p_{n+1,hi}
                     m = lo + 1
-                    while m < hi and (m, hi) not in bonds:
+                    while m < hi - 1 and (m, hi) not in bonds:
                         m += 1
-                    p = bonds[(m, hi)] if m < hi else self._identity(hi)
+                    p = self.bond(m, hi)
                     for n in range(m - 1, lo - 1, -1):
-                        p = bonds[(n, hi)] = compose(self._step(n), p)
+                        p = bonds[(n, hi)] = compose(self.bond(n, n + 1), p)
             return p
         return self._bonds[(lo, hi)]
 
@@ -120,12 +123,6 @@ class InverseSystem:
         if p is None:
             p = self._bonds[(lam, lam)] = identity(self.object_at(lam))
         return p
-
-    def _step(self, n) -> Morphism:
-        s = self._steps.get(n)
-        if s is None:
-            s = self._steps[n] = self._step_rule(n)
-        return s
 
     def top(self, horizon: int):
         """Greatest in-range index: poset greatest element, or the horizon."""

@@ -15,8 +15,6 @@
 
 import io
 import random
-import subprocess
-import sys
 import time
 
 from promov.checkers import (
@@ -39,6 +37,8 @@ from promov.families import (
 from promov.intlinalg import IntMatrix, snf, solve_congruence_system
 from promov.oracle import oracle_check
 from promov.systems import identity_morphism
+
+from test_theorems import THEOREMS  # the same module pytest collects
 
 H = Horizon(mu_max=6, lambda_max=12, muprime_max=13, cone_max=13)
 
@@ -95,12 +95,16 @@ def test_criterion_2_oracle_equivalence():
 
 
 def test_criterion_3_theorem_suites():
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "tests/test_theorems.py",
-         "-q", "-p", "no:cacheprovider"],
-        capture_output=True, text=True)
-    tail = proc.stdout.strip().splitlines()[-1] if proc.stdout else ""
-    report(3, proc.returncode == 0, tail or "no output")
+    # in-process and shared with pytest's own calls: each suite runs once
+    failed = []
+    for suite in THEOREMS:
+        try:
+            suite()
+        except Exception as exc:
+            failed.append(f"{suite.__name__}: {type(exc).__name__}")
+    report(3, not failed, f"{len(THEOREMS) - len(failed)} of {len(THEOREMS)} "
+                          f"theorem suites passed{': ' if failed else ''}"
+                          f"{', '.join(failed)}")
 
 
 def test_criterion_4_integer_kernel():

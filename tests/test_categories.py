@@ -63,6 +63,38 @@ def test_morphism_well_definedness():
     assert not m.is_zero()
 
 
+def test_abelian_morphisms_are_stored_canonically():
+    z4 = Z(4)
+    times5, times_m3 = abelian_scalar(z4, 5), abelian_scalar(z4, -3)
+    # unreduced and negative entries land in 0..e-1
+    assert times5.matrix.entries == (1,) and times_m3.matrix.entries == (1,)
+    assert times5 == times_m3 == abelian_identity(z4)
+    assert hash(times5) == hash(times_m3) == hash(abelian_identity(z4))
+    assert abelian_scalar(z4, -4) == abelian_zero(z4, z4)
+    assert abelian_scalar(z4, -4).is_zero()
+    # a Z row (factor 0) is left as given, a finite row beside it reduced
+    m = FgAbelianMorphism(Z(0), FgAbelianObject((0, 4)),
+                          IntMatrix.from_rows([[-7], [-7]]))
+    assert m.matrix.entries == (-7, 1)
+    assert abelian_scalar(Z(0), -3).matrix.entries == (-3,)
+    # moduli at the 2^53 scale reduce exactly
+    big = Z(2 ** 53)
+    assert abelian_scalar(big, 2 ** 53 + 5).matrix.entries == (5,)
+    assert abelian_scalar(big, -1).matrix.entries == (2 ** 53 - 1,)
+    assert abelian_scalar(big, 3 * 2 ** 53) == abelian_zero(big, big)
+    # Z/2 -> Z/4: doubling, written three ways, is one value
+    doubling = [FgAbelianMorphism(Z(2), z4, IntMatrix.from_rows([[v]]))
+                for v in (2, 6, -2)]
+    assert len(set(doubling)) == 1 and doubling[0].matrix.entries == (2,)
+    # a matrix that is not well defined still raises, reduced or not
+    for v in (1, 5, -3):
+        with pytest.raises(BackendError,
+                           match=r"matrix entry \(0,0\) does not respect source relations"):
+            FgAbelianMorphism(Z(2), z4, IntMatrix.from_rows([[v]]))
+    with pytest.raises(BackendError, match="matrix shape"):
+        FgAbelianMorphism(Z(2), z4, IntMatrix.from_rows([[2, 0]]))
+
+
 def test_pointed_map_basepoint():
     with pytest.raises(BackendError):
         PointedMap(PointedFiniteSet(2), PointedFiniteSet(2), (1, 0))
@@ -103,7 +135,8 @@ def test_compose_matches_reduced_product():
         a, b, c = (FgAbelianObject(rng.choice(pool)) for _ in range(3))
         f, g = _random_abelian_hom(rng, a, b), _random_abelian_hom(rng, b, c)
         got = compose(g, f)
-        assert got == FgAbelianMorphism(a, c, g.matrix.mul(f.matrix)).reduced()
+        # the raw product, made canonical by the constructor
+        assert got == FgAbelianMorphism(a, c, g.matrix.mul(f.matrix))
         # and the product entry by entry, reduced mod the target factor
         for i, e in enumerate(c.factors):
             for j in range(a.rank):

@@ -364,6 +364,7 @@ def test_verdict_to_dict_builds_each_distinct_witness_once(monkeypatch):
             assert [w.witnesses for w in back.witnesses] == [
                 w.witnesses for w in v.witnesses]
             assert verdict_to_dict(back) == d
+            assert back == v  # the Unknown ML records of F keep their chain
     assert repeated  # co_movable of f places one witness 705 times
 
 

@@ -91,6 +91,15 @@ def test_flag_spot_checks():
     assert any("periodic" in v for v in validate_system(x))
 
 
+def test_step_with_wrong_endpoints_is_named():
+    # the step bond is handed out as built, so validation sees its endpoints
+    x = InverseSystem(NAT, object_rule=lambda n: Z(4),
+                      step_rule=lambda n: abelian_scalar(Z(2), 1))
+    out = validate_system(x, horizon=3)
+    assert [v for v in out if "wrong endpoints" in v] == [
+        f"step bond at {n} has wrong endpoints" for n in range(3)]
+
+
 def test_coherence_validation():
     # a lone zero component on a constant system can never commute with the
     # identity bonds

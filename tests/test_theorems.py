@@ -7,8 +7,13 @@ in the horizon-sound direction: a certified positive on the hypothesis side
 must yield a positive on the conclusion side.  Refutations at a horizon are
 not treated as disproofs of an implication, because a deeper horizon could
 still reveal a witness.
+
+Each suite runs at most once per process: acceptance criterion 3 runs every
+suite in ``THEOREMS``, and pytest's own call of a suite replays the outcome
+of that run (or runs it, if criterion 3 has not).
 """
 
+import functools
 import random
 
 from promov import categories as cat
@@ -59,6 +64,29 @@ MORPHISM_PROPS = (
     "uniformly_co_movable",
 )
 
+THEOREMS = []  # every suite in this file, in file order
+_OUTCOMES = {}  # suite name -> the exception its one run raised, or None
+
+
+def theorem(suite):
+    """Register the suite, and run it at most once per process; a later
+    call raises the first run's exception again, or passes."""
+    @functools.wraps(suite)
+    def run():
+        name = suite.__name__
+        if name not in _OUTCOMES:
+            try:
+                suite()
+            except Exception as exc:
+                _OUTCOMES[name] = exc
+                raise
+            _OUTCOMES[name] = None
+        elif _OUTCOMES[name] is not None:
+            raise _OUTCOMES[name]
+
+    THEOREMS.append(run)
+    return run
+
 
 def _endomorphism_pair(seed):
     """A composable pair of self-morphisms of one random sequence."""
@@ -84,6 +112,7 @@ def _endomorphism_pair(seed):
     return out[rng.randrange(len(out))], out[rng.randrange(len(out))]
 
 
+@theorem
 def test_composition_closure():
     # a certified factor makes the composite positive, for every flavor
     violations = []
@@ -99,6 +128,7 @@ def test_composition_closure():
     assert violations == []
 
 
+@theorem
 def test_equivalence_invariance():
     corpus = finite_instance_corpus(3, 50)
     corpus += [random_sequence_morphism(s, "abelian" if s % 2 else "pointed_set")
@@ -116,6 +146,7 @@ def test_equivalence_invariance():
     assert mismatches == []
 
 
+@theorem
 def test_mittag_leffler_vs_movability_on_sets():
     # on pointed-set sequences ML implies movable, and co-movable tracks ML
     ml_violations = []
@@ -133,6 +164,7 @@ def test_mittag_leffler_vs_movability_on_sets():
     assert co_mismatches == []
 
 
+@theorem
 def test_uniform_implies_simple():
     violations = []
     for seed in range(100):
@@ -146,6 +178,7 @@ def test_uniform_implies_simple():
     assert violations == []
 
 
+@theorem
 def test_forgetful_functor_preserves_positives():
     violations = []
     for i, m in enumerate(finite_instance_corpus(5, 50, backend="abelian")):
@@ -166,6 +199,7 @@ def test_forgetful_functor_preserves_positives():
     assert violations == []
 
 
+@theorem
 def test_system_level_matches_identity_morphism():
     systems = [m.source for m in finite_instance_corpus(7, 50)]
     systems += [random_set_sequence(s) for s in range(25)]
@@ -178,6 +212,7 @@ def test_system_level_matches_identity_morphism():
             assert sys_check(x, H).status == check(prop, ident, H).status
 
 
+@theorem
 def test_domination_transfer():
     # when a retract diagram exists, positives transfer to the dominated side
     violations = []
@@ -193,6 +228,7 @@ def test_domination_transfer():
     assert violations == []
 
 
+@theorem
 def test_retraction_transfer():
     violations = []
     for seed in range(100):
@@ -206,12 +242,14 @@ def test_retraction_transfer():
     assert violations == []
 
 
+@theorem
 def test_bounded_phi_gives_uniform():
     for seed in range(100):
         m = bounded_phi_morphism(seed)
         assert check("uniformly_movable", m, H).is_certified()
 
 
+@theorem
 def test_top_anchored_finite_instances_hold_exactly():
     # over a finite directed poset the greatest element supplies every witness
     for seed in range(100):
@@ -220,6 +258,7 @@ def test_top_anchored_finite_instances_hold_exactly():
             assert check(prop, m, H).status == HOLDS
 
 
+@theorem
 def test_oracle_admissible_indices_upward_closed():
     checked = 0
     for m in finite_instance_corpus(31, 100):
