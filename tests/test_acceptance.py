@@ -102,9 +102,10 @@ def test_criterion_3_theorem_suites():
             suite()
         except Exception as exc:
             failed.append(f"{suite.__name__}: {type(exc).__name__}")
-    report(3, not failed, f"{len(THEOREMS) - len(failed)} of {len(THEOREMS)} "
-                          f"theorem suites passed{': ' if failed else ''}"
-                          f"{', '.join(failed)}")
+    detail = f"{len(THEOREMS) - len(failed)} of {len(THEOREMS)} theorem suites passed"
+    if failed:
+        detail += ": " + ", ".join(failed)
+    report(3, not failed, detail)
 
 
 def test_criterion_4_integer_kernel():
