@@ -38,7 +38,6 @@ from .indexsets import NAT, FiniteDirectedPoset, IndexMap, NatIndex
 from .intlinalg import IntMatrix, snf, solve_congruence_system
 from .oracle import oracle_check
 from .systems import (
-    ConeMorphism,
     InverseSystem,
     SystemFlags,
     SystemMorphism,

@@ -2,7 +2,7 @@
 
 Objects and morphisms are immutable values.  The central operation is
 :func:`solve_factorization`, which decides whether a morphism satisfying a
-list of one-sided composition constraints exists, returning a concrete
+list of composition constraints L o u = R exists, returning a concrete
 witness or ``None`` as a proof of non-existence.
 """
 
@@ -218,40 +218,23 @@ def is_epimorphism(f: Morphism) -> bool:
 
 
 @dataclass(frozen=True)
-class Constraint:
-    """Either L o u = R (side 'left') or u o L = R (side 'right')."""
-
-    side: str  # 'left': compose L after the unknown; 'right': before it
-    L: Morphism
-    R: Morphism
-
-
-@dataclass(frozen=True)
 class FactorizationProblem:
+    """Find u : source -> target with L o u = R for every (L, R) pair in
+    constraints, where L : target -> W and R : source -> W."""
+
     source: Object
     target: Object
     constraints: tuple
 
     def __post_init__(self):
-        for c in self.constraints:
-            if c.side == "left":
-                ok = (c.L.source == self.target and c.R.source == self.source
-                      and c.R.target == c.L.target)
-            elif c.side == "right":
-                ok = (c.L.target == self.source and c.R.target == self.target
-                      and c.R.source == c.L.source)
-            else:
-                raise BackendError(f"unknown constraint side {c.side!r}")
-            if not ok:
+        for L, R in self.constraints:
+            if not (L.source == self.target and R.source == self.source
+                    and R.target == L.target):
                 raise BackendError("constraint does not type-check")
 
 
 def check_solution(p: FactorizationProblem, u: Morphism) -> bool:
-    for c in p.constraints:
-        got = compose(c.L, u) if c.side == "left" else compose(u, c.L)
-        if not morphisms_equal(got, c.R):
-            return False
-    return True
+    return all(morphisms_equal(compose(L, u), R) for L, R in p.constraints)
 
 
 def solve_factorization(p: FactorizationProblem) -> Optional[Morphism]:
@@ -259,8 +242,8 @@ def solve_factorization(p: FactorizationProblem) -> Optional[Morphism]:
 
     Abelian: the constraints plus u's own well-definedness congruences form
     one linear congruence system in u's entries, decided exactly.  Pointed
-    sets: both constraint forms restrict u pointwise, so per-element
-    propagation is exhaustive and None is likewise a proof.
+    sets: each constraint restricts u pointwise, so per-element propagation
+    is exhaustive and None is likewise a proof.
     """
     if isinstance(p.source, FgAbelianObject):
         u = _solve_abelian(p)
@@ -289,29 +272,17 @@ def _solve_abelian(p: FactorizationProblem) -> Optional[FgAbelianMorphism]:
             rhs.append(0)
             mods.append(e)
 
-    for c in p.constraints:
-        if c.side == "left":
-            # L o u = R with L: T -> W, R: S -> W; row (a, j) holds L[a][i]
-            # at x[i][j] for every i
-            for a, w in enumerate(c.L.target.factors):
-                la = c.L.matrix.row(a)
-                for j in range(s):
-                    row = [0] * nvars
-                    row[j::s] = la
-                    flat += row
-                    rhs.append(c.R.matrix.at(a, j))
-                    mods.append(w)
-        else:
-            # u o L = R with L: W -> S, R: W -> T; equality is mod T relations;
-            # row (i, b) holds L[j][b] at x[i][j] for every j
-            cols = [c.L.matrix.col(b) for b in range(c.L.source.rank)]
-            for i, e in enumerate(T.factors):
-                for b, lb in enumerate(cols):
-                    row = [0] * nvars
-                    row[i * s:(i + 1) * s] = lb
-                    flat += row
-                    rhs.append(c.R.matrix.at(i, b))
-                    mods.append(e)
+    # L o u = R with L: T -> W, R: S -> W; row (a, j) holds L[a][i] at
+    # x[i][j] for every i
+    for L, R in p.constraints:
+        for a, w in enumerate(L.target.factors):
+            la = L.matrix.row(a)
+            for j in range(s):
+                row = [0] * nvars
+                row[j::s] = la
+                flat += row
+                rhs.append(R.matrix.at(a, j))
+                mods.append(w)
 
     if not rhs:
         return abelian_zero(S, T)
@@ -323,36 +294,20 @@ def _solve_abelian(p: FactorizationProblem) -> Optional[FgAbelianMorphism]:
 
 def _solve_pointed(p: FactorizationProblem) -> Optional[PointedMap]:
     S, T = p.source, p.target
-    forced = {0: 0}
     allowed = [set(range(T.size)) for _ in range(S.size)]
+    allowed[0] = {0}
 
-    for c in p.constraints:
-        if c.side == "right":
-            # u(L(w)) = R(w): forces u on the image of L
-            for w in range(c.L.source.size):
-                s, t = c.L.images[w], c.R.images[w]
-                if s in forced and forced[s] != t:
-                    return None
-                forced[s] = t
-        else:
-            # L(u(s)) = R(s): u(s) must lie in the L-preimage of R(s)
-            pre = {}
-            for t, w in enumerate(c.L.images):
-                pre.setdefault(w, set()).add(t)
-            for s in range(S.size):
-                allowed[s] &= pre.get(c.R.images[s], set())
+    # L(u(s)) = R(s): u(s) must lie in the L-preimage of R(s)
+    for L, R in p.constraints:
+        pre = {}
+        for t, w in enumerate(L.images):
+            pre.setdefault(w, set()).add(t)
+        for s in range(S.size):
+            allowed[s] &= pre.get(R.images[s], set())
 
-    images = []
-    for s in range(S.size):
-        if s in forced:
-            if forced[s] not in allowed[s]:
-                return None
-            images.append(forced[s])
-        else:
-            if not allowed[s]:
-                return None
-            images.append(min(allowed[s]))
-    return PointedMap(S, T, tuple(images))
+    if not all(allowed):
+        return None
+    return PointedMap(S, T, tuple(min(a) for a in allowed))
 
 
 # ---------------------------------------------------------------------------

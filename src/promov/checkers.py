@@ -22,10 +22,11 @@ and a kind:
     source   X  k >= phi(mu)   f_{mu k}  w o p_{lambda lambda*} = p_{k lambda*}
 
     kind     plain (movable, co_movable), strong (strongly_*: adds the
-             lambda* equation; the two-sided problem is solved first, and
-             the one-sided one only to classify a failure), uniform
-             (uniformly_*: the single key top, the greatest in-range index; a
-             cone is fixed by its top leg)
+             lambda* equation; lambda is the top of the box, so lambda* =
+             lambda and the witness is its right side R_k, checked by one
+             compose; the one-sided problem is solved only to classify a
+             failure), uniform (uniformly_*: the single key top, the
+             greatest in-range index; a cone is fixed by its top leg)
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from typing import Optional
 
 from . import categories as cat
 from .categories import (
-    Constraint,
     FactorizationProblem,
     Morphism,
     compose,
@@ -184,22 +184,22 @@ _MISS = object()
 def _solver():
     """Factorization solver for one checker call, memoized on the problem.
 
-    solve(source, target, triples) takes the constraints as (side, L, R)
-    triples and looks up the plain tuple (source, target, triples).  Only a
-    miss builds the Constraints and the FactorizationProblem, so a problem
-    is built and type-checked only when it is solved, and every answer is
-    verified by solve_factorization.  A repeated problem gets back the very
-    morphism (or None) produced the first time.  The memo is dropped with
-    the checker call that made it.
+    solve(source, target, pairs) takes the constraints L o u = R as (L, R)
+    pairs and looks up the plain tuple (source, target, pairs).  Only a miss
+    builds the FactorizationProblem, so a problem is built and type-checked
+    only when it is solved, and every answer is verified by
+    solve_factorization.  A repeated problem gets back the very morphism (or
+    None) produced the first time.  The memo is dropped with the checker
+    call that made it.
     """
     memo = {}
 
-    def solve(source, target, triples) -> Optional[Morphism]:
-        key = (source, target, triples)
+    def solve(source, target, pairs) -> Optional[Morphism]:
+        key = (source, target, pairs)
         u = memo.get(key, _MISS)
         if u is _MISS:
-            u = memo[key] = solve_factorization(FactorizationProblem(
-                source, target, tuple(Constraint(*t) for t in triples)))
+            u = memo[key] = solve_factorization(
+                FactorizationProblem(source, target, pairs))
         return u
 
     return solve
@@ -285,29 +285,32 @@ def _search_mu(f: SystemMorphism, mu, h: Horizon, co: bool, kind: str,
         else:
             return HOLDS_STABILIZED, rec
 
+    if kind == _STRONG and not morphisms_equal(
+            x.bond(lam, lam), cat.identity(x.object_at(lam))):
+        # the lambda* equation at lambda* = lambda fixes the witness only
+        # through p_{lambda lambda} = 1
+        raise ValueError(f"bond p[{lam!r},{lam!r}] is not the identity")
     flam = restrict(f, mu, lam)
     rec = WitnessRecord(mu, lam, None, extra=dict(extra))
     inconclusive = False
     verified = None
     for k in keys:
-        src, tgt = x.object_at(lam), z.object_at(k)
-        one_sided = (("left", left(k), flam),)
         u = None
         if kind == _STRONG:
-            # the two-sided problem first: a solution also solves the
-            # one-sided equation, and it is the recorded witness
+            # lam is the top of the box, so stars(lam, k) is [lam] or empty;
+            # at lambda* = lam the equation reads w = R_k, the only candidate
             candidates = stars(lam, k)
-            for lamstar in candidates:
-                u = solve(src, tgt, one_sided + (
-                    ("right", x.bond(lam, lamstar), right(k, lamstar)),))
-                if u is not None:
-                    rec.extra[k] = {"lambda_star": lamstar}
-                    break
+            if candidates:
+                u = right(k, lam)
+                if morphisms_equal(compose(left(k), u), flam):
+                    rec.extra[k] = {"lambda_star": lam}
+                else:
+                    u = None
         if u is None:
-            # the one-sided equation is implied by the two-sided one, so its
+            # the one-sided equation is implied by the strong one, so its
             # failure is a genuine refutation even when no lambda* is in
             # range; a strong search solves it only to classify its failure
-            u = solve(src, tgt, one_sided)
+            u = solve(x.object_at(lam), z.object_at(k), ((left(k), flam),))
             if u is None:
                 reason = (f"no {'co-' if co else ''}cone top-leg factorization"
                           if kind == _UNIFORM else
@@ -509,7 +512,7 @@ def _c0_search(prop: str, x: InverseSystem, c0_objects, h: Horizon,
                        for k in keys for x0 in c0_objects
                        for hm in cat.enumerate_homs(x0, x.object_at(probe))
                        if solve(x0, x.object_at(k), ((
-                           "left", x.bond(mu, k), compose(q_probe, hm)),)) is None),
+                           x.bond(mu, k), compose(q_probe, hm)),)) is None),
                       None)
         if failed is not None:
             per_mu.append((FAILS_AT_HORIZON, failed))

@@ -328,12 +328,10 @@ def _deep_listify(v):
 def _deep_intify(v):
     if isinstance(v, list):
         return tuple(_deep_intify(x) for x in v)
-    if isinstance(v, str):
-        try:
-            return int(v)
-        except ValueError:
-            return v
-    return v
+    try:
+        return _dec_int(v)
+    except DocumentError:
+        return v
 
 
 def _extra_from_json(items: list) -> dict:

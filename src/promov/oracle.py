@@ -127,7 +127,7 @@ def oracle_check(prop: str, f: SystemMorphism,
                            refutation=Refutation(mu, None, None,
                                                  "exhaustive search found no index"))
         per_mu[mu] = lams
-    recs = [WitnessRecord(mu, lams[0], None, extra={"admissible": lams})
+    recs = [WitnessRecord(mu, lams[0], None, extra={"admissible": tuple(lams)})
             for mu, lams in per_mu.items()]
     return Verdict(prop, HOLDS, witnesses=recs, notes=notes)
 

@@ -152,30 +152,6 @@ class SystemMorphism:
         return c
 
 
-class ConeMorphism:
-    """A compatible family of legs from one object into every stage of a
-    system: leg(mu) : source -> Y_mu with q_{mu1 mu2} o leg(mu2) = leg(mu1)."""
-
-    def __init__(self, source: Object, target: InverseSystem, leg: Callable):
-        self.source = source
-        self.target = target
-        self._leg = leg
-
-    def leg(self, mu) -> Morphism:
-        return self._leg(mu)
-
-    def validate(self, horizon: int) -> list:
-        out = []
-        idx = self.target.index
-        for m1 in idx.above(limit=horizon):
-            for m2 in idx.above(m1, limit=horizon):
-                if m2 != m1:
-                    lhs = compose(self.target.bond(m1, m2), self.leg(m2))
-                    if not morphisms_equal(lhs, self.leg(m1)):
-                        out.append(f"cone leg incompatibility at ({m1!r}, {m2!r})")
-        return out
-
-
 # ---------------------------------------------------------------------------
 # validation
 

@@ -11,7 +11,6 @@ import pytest
 import promov
 from promov.categories import (
     BackendError,
-    Constraint,
     FactorizationProblem,
     FgAbelianMorphism,
     FgAbelianObject,
@@ -174,39 +173,23 @@ def test_factorization_worked_example():
     # there IS no obstruction there; the classic failure: u with
     # (Z/8 -> Z/4) o u = id_{Z/4} would make Z/4 a retract of Z/8
     q = reduction(Z(8), Z(4))
-    prob = FactorizationProblem(Z(4), Z(8), (Constraint(
-        "left", q, abelian_identity(Z(4))),))
+    prob = FactorizationProblem(Z(4), Z(8), ((q, abelian_identity(Z(4))),))
     assert solve_factorization(prob) is None
     # multiplication by 2 factors: u = x (Z/4 -> Z/8 doubling), q o u = 2x
-    prob = FactorizationProblem(Z(4), Z(8), (Constraint(
-        "left", q, abelian_scalar(Z(4), 2)),))
+    prob = FactorizationProblem(Z(4), Z(8), ((q, abelian_scalar(Z(4), 2)),))
     u = solve_factorization(prob)
     assert u is not None and check_solution(prob, u)
-
-
-def test_factorization_right_constraint():
-    # u o (x2 : Z -> Z) = x4 forces u = x2
-    p = abelian_scalar(Z(0), 2)
-    prob = FactorizationProblem(Z(0), Z(0), (Constraint(
-        "right", p, abelian_scalar(Z(0), 4)),))
-    u = solve_factorization(prob)
-    assert u is not None and u.matrix.at(0, 0) == 2
-    # u o (x2) = x3 has no integer solution
-    prob = FactorizationProblem(Z(0), Z(0), (Constraint(
-        "right", p, abelian_scalar(Z(0), 3)),))
-    assert solve_factorization(prob) is None
 
 
 def test_pointed_factorization():
     s3, s2 = PointedFiniteSet(3), PointedFiniteSet(2)
     surj = PointedMap(s3, s2, (0, 1, 1))
     # factor surj through itself: u with surj o u = surj
-    prob = FactorizationProblem(s3, s3, (Constraint("left", surj, surj),))
+    prob = FactorizationProblem(s3, s3, ((surj, surj),))
     u = solve_factorization(prob)
     assert u is not None and check_solution(prob, u)
     # constant cannot factor a surjection
-    prob = FactorizationProblem(s3, s3, (Constraint(
-        "left", pointed_constant(s3, s2), surj),))
+    prob = FactorizationProblem(s3, s3, ((pointed_constant(s3, s2), surj),))
     assert solve_factorization(prob) is None
 
 
@@ -240,16 +223,10 @@ def test_solver_vs_enumeration(backend):
         src, tgt = rand_obj(rng), rand_obj(rng)
         constraints = []
         for _ in range(rng.randrange(1, 3)):
-            if rng.random() < 0.5:
-                mid = rand_obj(rng)
-                L = _random_hom(rng, tgt, mid)
-                R = _random_hom(rng, src, mid)
-                constraints.append(Constraint("left", L, R))
-            else:
-                mid = rand_obj(rng)
-                L = _random_hom(rng, mid, src)
-                R = _random_hom(rng, mid, tgt)
-                constraints.append(Constraint("right", L, R))
+            # L o u = R with L : tgt -> mid and R : src -> mid
+            mid = rand_obj(rng)
+            constraints.append((_random_hom(rng, tgt, mid),
+                                _random_hom(rng, src, mid)))
         prob = FactorizationProblem(src, tgt, tuple(constraints))
         got = solve_factorization(prob)
         ref = brute_force_solution(prob)
@@ -314,8 +291,8 @@ def test_witness_check_survives_optimize_flag():
         "from promov import categories as cat\n"
         "assert False, 'asserts should be stripped under -O'\n"
         "cat._solve_abelian = lambda p: cat.abelian_zero(p.source, p.target)\n"
-        "p = cat.FactorizationProblem(cat.Z(0), cat.Z(0), (cat.Constraint(\n"
-        "    'left', cat.abelian_identity(cat.Z(0)), cat.abelian_identity(cat.Z(0))),))\n"
+        "p = cat.FactorizationProblem(cat.Z(0), cat.Z(0), ((\n"
+        "    cat.abelian_identity(cat.Z(0)), cat.abelian_identity(cat.Z(0))),))\n"
         "try:\n"
         "    cat.solve_factorization(p)\n"
         "except AssertionError:\n"

@@ -10,7 +10,9 @@ import promov
 from promov import checkers
 from promov.categories import (
     Z,
+    abelian_scalar,
     compose,
+    identity,
     is_zero_morphism,
     morphisms_equal,
     PointedFiniteSet,
@@ -45,9 +47,11 @@ from promov.families import (
 )
 from promov.indexsets import NAT, FiniteDirectedPoset, IndexMap
 from promov.systems import (
+    InverseSystem,
     SystemMorphism,
     identity_morphism,
     restrict,
+    validate_system,
 )
 
 H = Horizon()
@@ -239,28 +243,56 @@ def _recording_solver(monkeypatch) -> list:
     return solved
 
 
-def test_strong_search_solves_one_sided_problems_only_to_classify(monkeypatch):
+def test_strong_search_takes_the_right_side_as_its_witness(monkeypatch):
     solved = _recording_solver(monkeypatch)
-    # every key of this box has a lambda* in range and a two-sided witness,
-    # which also solves the one-sided equation
+    # lambda = 13 is the top of the box and every key k <= 13 admits
+    # lambda* = lambda, where the lambda* equation reads w = R_k: the witness
+    # is R_k itself, checked by one compose, and nothing is solved
+    f = domination_pair(3)[0]
     box = Horizon(lambda_max=13)
-    assert check("strongly_movable", domination_pair(3)[0], box).status == HOLDS_STABILIZED
-    assert solved and all(len(p.constraints) == 2 for p, _ in solved)
+    for prop, right in (("strongly_movable", lambda k: restrict(f, k, 13)),
+                        ("strongly_co_movable", lambda k: f.source.bond(k, 13))):
+        v = check(prop, f, box)
+        assert v.status == HOLDS_STABILIZED and v.witnesses
+        for rec in v.witnesses:
+            assert rec.index == 13 and rec.witnesses
+            for k, u in rec.witnesses.items():
+                assert u == right(k) and rec.extra[k] == {"lambda_star": 13}
+    assert solved == []
 
-    # example 2.27 at the default box: a one-sided problem (source, target,
-    # L-constraint) is solved only at keys whose two-sided problems were
-    # all unsolvable, or where no lambda* lies in range
-    solved.clear()
-    assert check("strongly_movable", example_2_27()[2], H).status == UNKNOWN
-
-    def head(p):
-        return p.source, p.target, p.constraints[0]
-
-    one_sided = {head(p) for p, _ in solved if len(p.constraints) == 1}
-    tried = {head(p) for p, _ in solved if len(p.constraints) == 2}
-    witnessed = {head(p) for p, u in solved if len(p.constraints) == 2 and u is not None}
+    # example 2.27 at the default box: f is coherent only up to deeper
+    # indices, so R_k fails its compose at some keys; a one-sided problem
+    # (target G_k, L = q_{mu k}) is solved only there, or where no lambda*
+    # lies in range (k = 13)
+    F, G, f = example_2_27()
+    v = check("strongly_movable", f, H)
+    assert v.status == UNKNOWN
+    assert all(len(p.constraints) == 1 for p, _ in solved)
+    one_sided = {(p.target, p.constraints[0][0]) for p, _ in solved}
+    witnessed = set()
+    for rec in v.witnesses:
+        for k, u in rec.witnesses.items():
+            assert u == restrict(f, k, 12) and rec.extra[k] == {"lambda_star": 12}
+            witnessed.add((G.object_at(k), G.bond(rec.mu, k)))
     assert witnessed and not one_sided & witnessed
-    assert one_sided & tried and one_sided - tried
+    targets = {t for t, _ in one_sided}
+    assert G.object_at(13) in targets and targets - {G.object_at(13)}
+
+
+@pytest.mark.parametrize("prop", ["strongly_movable", "strongly_co_movable"])
+def test_strong_search_refuses_a_diagonal_bond_that_is_not_the_identity(prop):
+    # the Z/4 2-chain with p_bb = x3 breaks the identity axiom; the strong
+    # witness R_k rests on p_{lambda lambda} = 1, so the check is refused
+    # with the violation validate_system names
+    z4 = Z(4)
+    x = InverseSystem(FiniteDirectedPoset.chain(("a", "b")),
+                      objects={"a": z4, "b": z4},
+                      bonds={("a", "a"): identity(z4),
+                             ("b", "b"): abelian_scalar(z4, 3),
+                             ("a", "b"): identity(z4)})
+    assert "bond p['b','b'] is not the identity" in validate_system(x)
+    with pytest.raises(ValueError, match=r"^bond p\['b','b'\] is not the identity$"):
+        check(prop, identity_morphism(x))
 
 
 def test_one_check_builds_only_the_problems_it_solves(monkeypatch):

@@ -32,8 +32,15 @@ from promov.cli import (
     verdict_from_dict,
     verdict_to_dict,
 )
+from promov.categories import Z
 from promov.checkers import PROPERTIES, Horizon, check, movable_morphism
-from promov.families import example_2_27, finite_instance_corpus
+from promov.families import (
+    constant_poset_system,
+    example_2_27,
+    finite_instance_corpus,
+)
+from promov.indexsets import FiniteDirectedPoset
+from promov.oracle import oracle_check
 from promov.systems import identity_morphism
 
 
@@ -111,6 +118,25 @@ def test_structured_verdict_round_trips(tmp_path):
     _, _, f = example_2_27()
     direct = movable_morphism(f, Horizon())
     assert verdict_to_dict(direct) == doc
+
+
+def test_verdicts_round_trip_on_corpus_instances():
+    # the oracle's admissible indices decode as the tuple it stores, and a
+    # label that int() reads but that is not a decimal string stays a string
+    odd = constant_poset_system(FiniteDirectedPoset.chain(("1_0", " 7")), Z(4))
+    for f in finite_instance_corpus(5, 4) + [identity_morphism(odd)]:
+        for prop in PROPERTIES:
+            for v in (check(prop, f), oracle_check(prop, f)):
+                assert verdict_from_dict(verdict_to_dict(v)) == v
+
+
+@pytest.mark.parametrize("prop", ["strongly_movable", "strongly_co_movable"])
+def test_diagonal_bond_that_is_not_the_identity_exits_2(tmp_path, capsys, prop):
+    doc = chain_doc()
+    doc["bonds"].append(["b", "b", abelian_map(abelian(4), abelian(4), [["3"]])])
+    code, text = run(["check", prop, write(tmp_path, doc)])
+    assert code == EXIT_PARSE and text == ""
+    assert "bond p['b','b'] is not the identity" in capsys.readouterr().err
 
 
 def test_oracle_flag(tmp_path):

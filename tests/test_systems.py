@@ -26,7 +26,6 @@ from promov.families import (
 )
 from promov.indexsets import NAT, FiniteDirectedPoset, IndexMap
 from promov.systems import (
-    ConeMorphism,
     InverseSystem,
     SystemFlags,
     SystemMorphism,
@@ -173,16 +172,6 @@ def test_equivalence():
     zero = SystemMorphism(c, c, IndexMap.identity(NAT),
                           lambda n: abelian_scalar(Z(2), 0))
     assert not are_equivalent(identity_morphism(c), zero)
-
-
-def test_cone_validation():
-    c = constant_system(Z(2))
-    good = ConeMorphism(Z(2), c, lambda n: identity(Z(2)))
-    assert good.validate(horizon=4) == []
-    bad = ConeMorphism(Z(2), c,
-                       lambda n: identity(Z(2)) if n % 2 else
-                       abelian_scalar(Z(2), 0))
-    assert bad.validate(horizon=4) != []
 
 
 def test_rudimentary_and_constant():
