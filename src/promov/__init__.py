@@ -47,6 +47,7 @@ from .systems import (
     restrict,
     validate_morphism,
     validate_system,
+    violations,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

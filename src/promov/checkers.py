@@ -6,11 +6,11 @@ backend category and gives each outer index mu a status: HoldsStabilized
 FailsAtHorizon (the outcome inside the horizon box), or Unknown; the verdict
 is the worst, FailsAtHorizon < Unknown < HoldsAtHorizon < HoldsStabilized.
 FailsAtHorizon proves that no witness exists inside the box: evidence, not a
-theorem, of failure of the unbounded property, and reports say so.  On a
-finite directed poset the box holds every index, so the worst status is
-exact and reads Fails or Holds; Fails appears only on input that breaks the
-axioms.  Within one checker call each distinct factorization problem is
-solved and verified once.
+theorem, of failure of the unbounded property, and reports say so.  Input
+over a finite directed poset is refused unless valid; the box then holds
+every index and every property holds at its top, so the verdict is Holds
+(only the oracle returns Fails).  Within one checker call each distinct
+factorization problem is solved and verified once.
 
 The six morphism checkers are one search.  For each outer index mu it probes
 one lambda and looks for a witness w : X_lambda -> Z_k with
@@ -45,7 +45,7 @@ from .categories import (
     solve_factorization,
 )
 from .indexsets import is_finite_index
-from .systems import InverseSystem, SystemMorphism, identity_morphism, restrict
+from .systems import InverseSystem, SystemMorphism, identity_morphism, restrict, violations
 
 HORIZON_DISCLAIMER = (
     "horizon-bounded result: a Fails/Holds-at-horizon status is evidence "
@@ -205,16 +205,29 @@ def _solver():
     return solve
 
 
+def _admit(f: SystemMorphism) -> bool:
+    """Whether f's target index is a finite poset; ValueError naming the
+    violations if so and f is invalid (a sequence's bonds are composites of
+    its steps, so it is left to promov validate's horizon spot-check)."""
+    finite = is_finite_index(f.target.index)
+    if finite and violations(f):
+        raise ValueError("; ".join(violations(f)))
+    return finite
+
+
 def _assemble(prop: str, per_mu: list, h: Horizon, finite: bool,
               notes=()) -> Verdict:
     """The verdict of the worst (status, record) in per_mu by _RANK.  On a
-    finite poset the box holds every index, so the worst is exact: Fails
-    or Holds."""
+    finite poset the box holds every index and the input is valid, so every
+    property holds at the greatest element: the verdict is Holds, and any
+    other outcome is a broken theorem, raised as AssertionError."""
     status = min((s for s, _ in per_mu), key=_RANK.index,
                  default=HOLDS_STABILIZED)
     notes = list(notes)
     if finite:
-        status = FAILS if status == FAILS_AT_HORIZON else HOLDS
+        if status in (FAILS_AT_HORIZON, UNKNOWN):
+            raise AssertionError(f"{prop} is {status} on a valid finite input")
+        status = HOLDS
     else:
         notes.append(HORIZON_DISCLAIMER)
     return Verdict(prop, status,
@@ -233,7 +246,7 @@ _UNIFORM = "uniform"
 
 
 def _search(prop: str, f: SystemMorphism, h: Horizon, co: bool, kind: str) -> Verdict:
-    finite = is_finite_index(f.target.index)
+    finite = _admit(f)
     solve = _solver()
     per_mu = [_search_mu(f, mu, h, co, kind, finite, solve)
               for mu in f.target.index.above(limit=h.mu_max)]
@@ -285,11 +298,6 @@ def _search_mu(f: SystemMorphism, mu, h: Horizon, co: bool, kind: str,
         else:
             return HOLDS_STABILIZED, rec
 
-    if kind == _STRONG and not morphisms_equal(
-            x.bond(lam, lam), cat.identity(x.object_at(lam))):
-        # the lambda* equation at lambda* = lambda fixes the witness only
-        # through p_{lambda lambda} = 1
-        raise ValueError(f"bond p[{lam!r},{lam!r}] is not the identity")
     flam = restrict(f, mu, lam)
     rec = WitnessRecord(mu, lam, None, extra=dict(extra))
     inconclusive = False
@@ -318,16 +326,10 @@ def _search_mu(f: SystemMorphism, mu, h: Horizon, co: bool, kind: str,
                           f"{'restriction' if co else 'bond'}")
                 return FAILS_AT_HORIZON, Refutation(mu, lam, k, reason)
             if kind == _STRONG:
-                if not candidates:
-                    # every admissible lambda* lies past the horizon: untestable
-                    continue
-                if finite:
-                    return FAILS_AT_HORIZON, Refutation(
-                        mu, lam, k, f"no two-sided {'co-' if co else ''}"
-                                    f"witness for any lambda*")
-                # the lambda* quantifier reaches past the horizon, so an
+                # untestable with every admissible lambda* past the horizon;
+                # otherwise the lambda* quantifier reaches past it, so an
                 # in-range exhaustion proves nothing either way
-                inconclusive = True
+                inconclusive |= bool(candidates)
                 continue
         verified = k
         rec.witnesses[k] = u
@@ -389,26 +391,20 @@ def mittag_leffler(f: SystemMorphism, h: Horizon = Horizon()) -> Verdict:
     reported as Unknown together with the chain.
     """
     x, y = f.source, f.target
-    finite = is_finite_index(y.index)
+    finite = _admit(f)
     per_mu = []
     notes = []
     for mu in y.index.above(limit=h.mu_max):
         chain = [(lam, cat.image_subobject(restrict(f, mu, lam)))
                  for lam in x.index.above(f.phi(mu), limit=h.lambda_max)]
         if finite:
-            # exact: some lam whose image equals every deeper one
-            ok = None
-            for lam, img in chain:
-                deeper = [i for l2, i in chain if x.index.leq(lam, l2)]
-                if all(cat.subobjects_equal(img, d) for d in deeper):
-                    ok = (lam, img)
-                    break
-            if ok is None:
-                per_mu.append((FAILS_AT_HORIZON, Refutation(mu, None, None,
-                                                            "no ML index")))
-            else:
-                per_mu.append((HOLDS_AT_HORIZON, WitnessRecord(
-                    mu, ok[0], None, extra={"image": ok[1].presentation})))
+            # exact: the first lam whose image equals every deeper one; the
+            # greatest element always is such a lam
+            lam, img = next((lam, img) for lam, img in chain if all(
+                cat.subobjects_equal(img, i)
+                for l2, i in chain if x.index.leq(lam, l2)))
+            per_mu.append((HOLDS_AT_HORIZON, WitnessRecord(
+                mu, lam, None, extra={"image": img.presentation})))
             continue
         # stabilization rules, strongest first
         rec = None
@@ -495,7 +491,7 @@ def _c0_search(prop: str, x: InverseSystem, c0_objects, h: Horizon,
     """For each mu and each probe hm : X0 -> X_lambda, a witness r with
     q_{mu k} o r = q_{mu lambda} o hm at every key k: each deeper index, or
     the single cone top."""
-    finite = is_finite_index(x.index)
+    finite = _admit(identity_morphism(x))
     if not c0_objects:
         return _assemble(prop, [], h, finite, notes=["vacuous: empty probe class"])
     solve = _solver()

@@ -39,8 +39,7 @@ from .systems import (
     are_equivalent,
     compose_morphisms,
     identity_morphism,
-    validate_morphism,
-    validate_system,
+    violations,
 )
 
 EXIT_POSITIVE = 0
@@ -536,10 +535,7 @@ def _horizon_from_args(args) -> Horizon:
 def cmd_validate(args, out) -> int:
     doc = load_document(args.input)
     f = morphism_from_doc(doc, args.seed)
-    problems = validate_system(f.source)
-    if f.target is not f.source:
-        problems += validate_system(f.target)
-    problems += validate_morphism(f)
+    problems = violations(f)
     if problems:
         for p in problems:
             out.write(f"violation: {p}\n")

@@ -17,6 +17,7 @@ class FiniteDirectedPoset:
     elements: tuple
     leq_table: tuple  # tuple of tuples of bool
     _pos: dict = field(init=False, repr=False, compare=False)  # label -> position
+    _top: tuple = field(init=False, repr=False, compare=False)  # (greatest,) or ()
 
     def __post_init__(self):
         n = len(self.elements)
@@ -25,6 +26,8 @@ class FiniteDirectedPoset:
         if len(set(self.elements)) != n:
             raise ValueError("element labels must be distinct")
         object.__setattr__(self, "_pos", {a: i for i, a in enumerate(self.elements)})
+        object.__setattr__(self, "_top", tuple(g for j, g in enumerate(self.elements)
+                                               if all(r[j] for r in self.leq_table))[:1])
 
     def leq(self, a, b) -> bool:
         pos = self._pos
@@ -45,11 +48,10 @@ class FiniteDirectedPoset:
         return out
 
     def greatest(self):
-        """The greatest element; exists for every valid directed finite poset."""
-        for g in self.elements:
-            if all(self.leq(b, g) for b in self.elements):
-                return g
-        raise ValueError("poset has no greatest element (not directed?)")
+        """The greatest element, found at construction; every valid poset has one."""
+        if not self._top:
+            raise ValueError("poset has no greatest element (not directed?)")
+        return self._top[0]
 
     @staticmethod
     def chain(labels) -> "FiniteDirectedPoset":

@@ -144,6 +144,7 @@ class SystemMorphism:
         self.name = name
         self._components = {}  # mu -> f_mu, filled by f
         self._restrictions = {}  # (mu, lam) -> f_{mu lam}, filled by restrict
+        self._violations = None  # the list violations(f) computes once
 
     def f(self, mu) -> Morphism:
         c = self._components.get(mu)
@@ -265,6 +266,17 @@ def validate_morphism(f: SystemMorphism, horizon: int = 8) -> list:
                    for lam in x.index.above(*lows, limit=limit)):
             out.append(f"coherence failure at ({mu!r}, {mu2!r})")
     return out
+
+
+def violations(f: SystemMorphism) -> list:
+    """What ``promov validate`` lists for f, computed once and kept on f:
+    validate_system on the source and a distinct target, validate_morphism."""
+    if f._violations is None:
+        out = validate_system(f.source)
+        if f.target is not f.source:
+            out += validate_system(f.target)
+        f._violations = out + validate_morphism(f)
+    return f._violations
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ from promov.systems import (
     identity_morphism,
     restrict,
     validate_system,
+    violations,
 )
 
 H = Horizon()
@@ -152,6 +153,22 @@ def test_eventual_periodicity_rule_requires_flag():
                          step_rule=lambda n: cat_identity(Z(2)))
     v = movable_morphism(identity_morphism(bare), H)
     assert v.status == HOLDS_AT_HORIZON
+
+
+def test_mittag_leffler_holds_at_horizon_on_an_unflagged_sequence():
+    # Z/6 at every index with x2 steps: the image chain is <2> from the first
+    # step on, but with no flag and no trivial image no rule certifies the
+    # tail, so the last two in-range images decide
+    z6 = Z(6)
+    x = InverseSystem(NAT, object_rule=lambda n: z6,
+                      step_rule=lambda n: abelian_scalar(z6, 2))
+    f = identity_morphism(x)
+    for prop in PROPERTIES:
+        assert check(prop, f, H).status == HOLDS_AT_HORIZON, prop
+    v = mittag_leffler(f, H)
+    assert [(r.mu, r.index, r.rule) for r in v.witnesses] == [
+        (mu, H.lambda_max, None) for mu in range(H.mu_max + 1)]
+    assert v.refutation is None and v.notes == [checkers.HORIZON_DISCLAIMER]
 
 
 def test_non_exact_verdicts_carry_disclaimer():
@@ -283,7 +300,7 @@ def test_strong_search_takes_the_right_side_as_its_witness(monkeypatch):
 def test_strong_search_refuses_a_diagonal_bond_that_is_not_the_identity(prop):
     # the Z/4 2-chain with p_bb = x3 breaks the identity axiom; the strong
     # witness R_k rests on p_{lambda lambda} = 1, so the check is refused
-    # with the violation validate_system names
+    # with every violation promov validate names, in its order
     z4 = Z(4)
     x = InverseSystem(FiniteDirectedPoset.chain(("a", "b")),
                       objects={"a": z4, "b": z4},
@@ -291,8 +308,15 @@ def test_strong_search_refuses_a_diagonal_bond_that_is_not_the_identity(prop):
                              ("b", "b"): abelian_scalar(z4, 3),
                              ("a", "b"): identity(z4)})
     assert "bond p['b','b'] is not the identity" in validate_system(x)
-    with pytest.raises(ValueError, match=r"^bond p\['b','b'\] is not the identity$"):
-        check(prop, identity_morphism(x))
+    f = identity_morphism(x)
+    assert violations(f) == [
+        "bond p['b','b'] is not the identity",
+        "functoriality violation at ('a','b','b')",
+        "functoriality violation at ('b','b','b')",
+        "coherence failure at ('a', 'b')"]
+    with pytest.raises(ValueError) as err:
+        check(prop, f)
+    assert str(err.value) == "; ".join(violations(f))
 
 
 def test_one_check_builds_only_the_problems_it_solves(monkeypatch):

@@ -139,6 +139,27 @@ def test_diagonal_bond_that_is_not_the_identity_exits_2(tmp_path, capsys, prop):
     assert "bond p['b','b'] is not the identity" in capsys.readouterr().err
 
 
+def test_invalid_finite_input_is_refused_at_the_door(tmp_path, capsys):
+    # the non-functorial Z/4 3-chain p_ab = p_bc = 1, p_ac = x2: check
+    # refuses it with the violation validate prints; the oracle decides the
+    # literal definition, which fails
+    z4 = abelian(4)
+    doc = {"index": {"kind": "finite", "elements": ["a", "b", "c"],
+                     "pairs": [["a", "b"], ["b", "c"]]},
+           "objects": {"a": z4, "b": z4, "c": z4},
+           "bonds": [[lo, hi, abelian_map(z4, z4, [[c]])]
+                     for lo, hi, c in (("a", "b", "1"), ("b", "c", "1"),
+                                       ("a", "c", "2"))]}
+    path = write(tmp_path, doc)
+    violation = "functoriality violation at ('a','b','c')"
+    assert run(["validate", path]) == (EXIT_NEGATIVE, f"violation: {violation}\n")
+    for prop in ("movable", "uniformly_movable"):
+        assert run(["check", prop, path]) == (EXIT_PARSE, "")
+        assert capsys.readouterr().err == f"error: {violation}\n"
+    code, text = run(["check", "uniformly_movable", path, "--oracle"])
+    assert code == EXIT_NEGATIVE and "Fails" in text
+
+
 def test_oracle_flag(tmp_path):
     fpath = write(tmp_path, chain_doc(), "f.json")
     code, text = run(["check", "movable", fpath, "--oracle"])
