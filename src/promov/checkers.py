@@ -32,7 +32,7 @@ and a kind:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Optional
 
 from . import categories as cat
@@ -170,37 +170,29 @@ def _first_zero(candidates, morphism_at):
 def _periodic_covered(system: InverseSystem, h_limit: int) -> bool:
     """True when the system is flagged eventually periodic and the deeper
     index range covers a full period past the offset, so a uniform in-range
-    outcome extends to the tail (eventual-periodicity rule)."""
+    outcome extends to the tail (eventual-periodicity rule).  A finite
+    system carrying the flag never gets here: _admit refuses it."""
     flag = system.flags.eventually_periodic
-    if flag is None or is_finite_index(system.index):
+    if flag is None:
         return False
     off, per = flag
     return h_limit >= off + per
-
-
-_MISS = object()
 
 
 def _solver():
     """Factorization solver for one checker call, memoized on the problem.
 
     solve(source, target, pairs) takes the constraints L o u = R as (L, R)
-    pairs and looks up the plain tuple (source, target, pairs).  Only a miss
-    builds the FactorizationProblem, so a problem is built and type-checked
-    only when it is solved, and every answer is verified by
+    pairs and is cached on the plain tuple (source, target, pairs).  Only a
+    miss builds the FactorizationProblem, so a problem is built and
+    type-checked only when it is solved, and every answer is verified by
     solve_factorization.  A repeated problem gets back the very morphism (or
     None) produced the first time.  The memo is dropped with the checker
     call that made it.
     """
-    memo = {}
-
+    @cache
     def solve(source, target, pairs) -> Optional[Morphism]:
-        key = (source, target, pairs)
-        u = memo.get(key, _MISS)
-        if u is _MISS:
-            u = memo[key] = solve_factorization(
-                FactorizationProblem(source, target, pairs))
-        return u
+        return solve_factorization(FactorizationProblem(source, target, pairs))
 
     return solve
 

@@ -52,6 +52,7 @@ class InverseSystem:
         self.index = index
         self.flags = flags
         self.name = name
+        self._violations = None  # the list violations computes once
         if is_finite_index(index):
             if objects is None or bonds is None:
                 raise ValueError("finite-poset systems need objects and bonds tables")
@@ -270,11 +271,14 @@ def validate_morphism(f: SystemMorphism, horizon: int = 8) -> list:
 
 def violations(f: SystemMorphism) -> list:
     """What ``promov validate`` lists for f, computed once and kept on f:
-    validate_system on the source and a distinct target, validate_morphism."""
+    validate_system on the source and a distinct target, each computed once
+    and kept on its system, then validate_morphism."""
     if f._violations is None:
-        out = validate_system(f.source)
-        if f.target is not f.source:
-            out += validate_system(f.target)
+        out = []
+        for x in (f.source,) if f.target is f.source else (f.source, f.target):
+            if x._violations is None:
+                x._violations = validate_system(x)
+            out += x._violations
         f._violations = out + validate_morphism(f)
     return f._violations
 

@@ -221,6 +221,25 @@ def test_c0_box_too_small_is_refused(system_check, c0_check, box):
         c0_check(G, [Z(2)], box)
 
 
+def test_a_system_is_validated_once_across_its_checks(monkeypatch):
+    # each system check builds its own identity morphism, but the system's
+    # validate_system list is computed once and kept on the system
+    calls = []
+    validate = promov.systems.validate_system
+
+    def counting(x, *args):
+        calls.append(x)
+        return validate(x, *args)
+
+    monkeypatch.setattr(promov.systems, "validate_system", counting)
+    x = constant_poset_system(FiniteDirectedPoset.chain(("a", "b", "c")), Z(4))
+    for system_check in (movable_system, checkers.strongly_movable_system,
+                         uniformly_movable_system):
+        assert system_check(x, H).status == HOLDS
+    assert c0_movable_system(x, [Z(2)], H).status == HOLDS
+    assert calls == [x]
+
+
 def test_unknown_property_rejected():
     F, G, f = example_2_27()
     with pytest.raises(ValueError):
