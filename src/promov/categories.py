@@ -3,7 +3,10 @@
 Objects and morphisms are immutable values.  The central operation is
 :func:`solve_factorization`, which decides whether a morphism satisfying a
 list of composition constraints L o u = R exists, returning a concrete
-witness or ``None`` as a proof of non-existence.
+witness or ``None`` as a proof of non-existence.  For abelian groups it
+writes u as steps times free unknowns, with the steps of
+Hom(+Z/d_j, +Z/e_i) that ``enumerate_homs`` also walks, so the congruence
+system it hands to Smith normal form holds only the constraints' rows.
 """
 
 from __future__ import annotations
@@ -240,10 +243,11 @@ def check_solution(p: FactorizationProblem, u: Morphism) -> bool:
 def solve_factorization(p: FactorizationProblem) -> Optional[Morphism]:
     """A morphism u: source -> target meeting every constraint, else None.
 
-    Abelian: the constraints plus u's own well-definedness congruences form
-    one linear congruence system in u's entries, decided exactly.  Pointed
-    sets: each constraint restricts u pointwise, so per-element propagation
-    is exhaustive and None is likewise a proof.
+    Abelian: u's entries range over the multiples of the steps that make u
+    well defined, so the constraints alone form one linear congruence system
+    in the free unknowns, decided exactly.  Pointed sets: each constraint
+    restricts u pointwise, so per-element propagation is exhaustive and None
+    is likewise a proof.
     """
     if isinstance(p.source, FgAbelianObject):
         u = _solve_abelian(p)
@@ -257,39 +261,31 @@ def solve_factorization(p: FactorizationProblem) -> Optional[Morphism]:
 def _solve_abelian(p: FactorizationProblem) -> Optional[FgAbelianMorphism]:
     S, T = p.source, p.target
     s = S.rank
-    nvars = T.rank * s  # x[i][j] row-major at i * s + j
-    # the congruence system, one row of nvars entries at a time
+    # Hom(S, T) is the matrices with x[i][j] in steps[i][j]*Z: d_j x = 0 in
+    # Z/e_i, so the step is e_i / gcd(d_j, e_i), 1 from a Z summand (d_j = 0)
+    # and 0 into one (e_i = 0 < d_j); u = steps * y over free unknowns y,
+    # row-major at i * s + j
+    steps = [e // gcd(d, e) if d else 1 for e in T.factors for d in S.factors]
+    # L o u = R with L: T -> W, R: S -> W; row (a, j) holds
+    # L[a][i] * steps[i][j] at y[i][j] for every i
     flat, rhs, mods = [], [], []
-
-    # well-definedness of u itself
-    for i, e in enumerate(T.factors):
-        for j, d in enumerate(S.factors):
-            if d == 0:
-                continue
-            row = [0] * nvars
-            row[i * s + j] = d
-            flat += row
-            rhs.append(0)
-            mods.append(e)
-
-    # L o u = R with L: T -> W, R: S -> W; row (a, j) holds L[a][i] at
-    # x[i][j] for every i
     for L, R in p.constraints:
         for a, w in enumerate(L.target.factors):
             la = L.matrix.row(a)
             for j in range(s):
-                row = [0] * nvars
-                row[j::s] = la
+                row = [0] * len(steps)
+                row[j::s] = map(mul, la, steps[j::s])
                 flat += row
                 rhs.append(R.matrix.at(a, j))
                 mods.append(w)
 
     if not rhs:
         return abelian_zero(S, T)
-    x = solve_congruence_system(IntMatrix(len(rhs), nvars, tuple(flat)), rhs, mods)
-    if x is None:
+    y = solve_congruence_system(IntMatrix(len(rhs), len(steps), tuple(flat)),
+                                rhs, mods)
+    if y is None:
         return None
-    return FgAbelianMorphism(S, T, IntMatrix(T.rank, S.rank, tuple(x)))
+    return FgAbelianMorphism(S, T, IntMatrix(T.rank, s, tuple(map(mul, steps, y))))
 
 
 def _solve_pointed(p: FactorizationProblem) -> Optional[PointedMap]:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import promov
+from promov import categories
 from promov.categories import (
     BackendError,
     FactorizationProblem,
@@ -214,19 +215,41 @@ def _random_hom(rng, a, b):
     return homs[rng.randrange(len(homs))]
 
 
+def _random_solver_abelian(rng):
+    # the finite pool plus a Z summand (u's entries out of it are free, into
+    # it forced to 0) and the rank-0 group
+    return FgAbelianObject(rng.choice(
+        [(2,), (3,), (4,), (2, 2), (6,), (8,), (2, 4), (0,), (0, 2), (4, 0), ()]))
+
+
+def _object_after(rng, rand_obj, *sources):
+    """A random object b with Hom(a, b) finite for every a in sources, so
+    never Hom(Z, Z)."""
+    while True:
+        b = rand_obj(rng)
+        if all(hom_count(a, b) is not None for a in sources):
+            return b
+
+
 @pytest.mark.parametrize("backend", ["abelian", "pointed"])
 def test_solver_vs_enumeration(backend):
     rng = random.Random(42 if backend == "abelian" else 43)
-    rand_obj = _random_abelian if backend == "abelian" else _random_pointed
+    rand_obj = _random_solver_abelian if backend == "abelian" else _random_pointed
     agreements = 0
+    shapes = set()
     for _ in range(250):
-        src, tgt = rand_obj(rng), rand_obj(rng)
+        src = rand_obj(rng)
+        tgt = _object_after(rng, rand_obj, src)
         constraints = []
         for _ in range(rng.randrange(1, 3)):
             # L o u = R with L : tgt -> mid and R : src -> mid
-            mid = rand_obj(rng)
+            mid = _object_after(rng, rand_obj, src, tgt)
             constraints.append((_random_hom(rng, tgt, mid),
                                 _random_hom(rng, src, mid)))
+            if backend == "abelian":
+                shapes.add("rank 0" if () in (src.factors, tgt.factors, mid.factors)
+                           else "Z source" if not src.is_finite()
+                           else "Z target" if not tgt.is_finite() else "finite")
         prob = FactorizationProblem(src, tgt, tuple(constraints))
         got = solve_factorization(prob)
         ref = brute_force_solution(prob)
@@ -235,6 +258,47 @@ def test_solver_vs_enumeration(backend):
             assert check_solution(prob, got)
         agreements += 1
     assert agreements == 250
+    if backend == "abelian":
+        assert shapes == {"rank 0", "Z source", "Z target", "finite"}
+
+
+def test_solver_builds_only_constraint_rows(monkeypatch):
+    # u's well-definedness is in its unknowns, so the congruence system has
+    # W.rank * S.rank rows per constraint L o u = R (L : T -> W, R : S -> W)
+    # over T.rank * S.rank unknowns, and nothing else
+    systems = []
+    solve = categories.solve_congruence_system
+
+    def recording(a, b, moduli):
+        systems.append((a, list(b), list(moduli)))
+        return solve(a, b, moduli)
+
+    monkeypatch.setattr(categories, "solve_congruence_system", recording)
+    # q o u = 2 on Z/4 -> Z/8 with q the reduction Z/8 -> Z/4: one row, one
+    # unknown y with u = 2y (4u = 0 in Z/8), where writing 4u = 0 as a row
+    # of its own would make two
+    q = FgAbelianMorphism(Z(8), Z(4), IntMatrix.from_rows([[1]]))
+    prob = FactorizationProblem(Z(4), Z(8), ((q, abelian_scalar(Z(4), 2)),))
+    u = solve_factorization(prob)
+    assert u is not None and u.matrix.entries[0] % 2 == 0
+    assert systems == [(IntMatrix.from_rows([[2]]), [2], [4])]
+
+    rng = random.Random(44)
+    for _ in range(100):
+        systems.clear()
+        src = _random_solver_abelian(rng)
+        tgt = _object_after(rng, _random_solver_abelian, src)
+        mids = [_object_after(rng, _random_solver_abelian, src, tgt)
+                for _ in range(rng.randrange(1, 3))]
+        prob = FactorizationProblem(src, tgt, tuple(
+            (_random_hom(rng, tgt, w), _random_hom(rng, src, w)) for w in mids))
+        solve_factorization(prob)
+        rows = sum(w.rank for w in mids) * src.rank
+        if rows:
+            [(a, _, _)] = systems
+            assert (a.rows, a.cols) == (rows, tgt.rank * src.rank)
+        else:
+            assert systems == []
 
 
 def test_image_subobjects():
