@@ -32,7 +32,7 @@ from promov.families import (
 from promov.indexsets import FiniteDirectedPoset
 from promov.systems import identity_morphism
 
-PINNED_DIGEST = "1e2cc01805c8173cf884f49995a6370490fd16de75c117c4e6f6021670d45bf3"
+PINNED_DIGEST = "d69ff410d5b92003440303f06d768a971ffabcc43c9fdf7892a2848f0e2e0c12"
 STATUS_DIGEST = "48fdf9addd799be88aeb004c1048917d045743cdf418a6d43487680dadd4be2d"
 
 HORIZONS = (Horizon(), Horizon(10, 30, 31, 31))
