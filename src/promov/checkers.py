@@ -6,11 +6,12 @@ backend category and gives each outer index mu a status: HoldsStabilized
 FailsAtHorizon (the outcome inside the horizon box), or Unknown; the verdict
 is the worst, FailsAtHorizon < Unknown < HoldsAtHorizon < HoldsStabilized.
 FailsAtHorizon proves that no witness exists inside the box: evidence, not a
-theorem, of failure of the unbounded property, and reports say so.  Input
-over a finite directed poset is refused unless valid; the box then holds
-every index and every property holds at its top, so the verdict is Holds
-(only the oracle returns Fails).  Within one checker call each distinct
-factorization problem is solved and verified once.
+theorem, of failure of the unbounded property, and reports say so.  A
+morphism between index kinds is refused, and input over a finite directed
+poset is refused unless valid; the box then holds every index and every
+property holds at its top, so the verdict is Holds (only the oracle returns
+Fails).  Within one checker call each distinct factorization problem is
+solved and verified once.
 
 The six morphism checkers are one search.  For each outer index mu it probes
 one lambda and looks for a witness w : X_lambda -> Z_k with
@@ -198,10 +199,13 @@ def _solver():
 
 
 def _admit(f: SystemMorphism) -> bool:
-    """Whether f's target index is a finite poset; ValueError naming the
-    violations if so and f is invalid (a sequence's bonds are composites of
-    its steps, so it is left to promov validate's horizon spot-check)."""
+    """Whether f's index sets are finite posets.  ValueError if only one of
+    them is (mixed index kinds are unsupported), or naming the violations if
+    both are and f is invalid (a sequence's bonds are composites of its
+    steps, so it is left to promov validate's horizon spot-check)."""
     finite = is_finite_index(f.target.index)
+    if is_finite_index(f.source.index) != finite:
+        raise ValueError("source and target index kinds differ")
     if finite and violations(f):
         raise ValueError("; ".join(violations(f)))
     return finite

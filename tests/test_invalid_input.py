@@ -24,10 +24,16 @@ from promov import checkers
 from promov.categories import Z, abelian_scalar, identity
 from promov.checkers import FAILS, HOLDS, PROPERTIES, check
 from promov.cli import verdict_to_dict
-from promov.families import constant_poset_system
-from promov.indexsets import FiniteDirectedPoset, IndexMap
+from promov.families import constant_poset_system, constant_system
+from promov.indexsets import NAT, FiniteDirectedPoset, IndexMap
 from promov.oracle import oracle_check
-from promov.systems import InverseSystem, SystemMorphism, identity_morphism, violations
+from promov.systems import (
+    InverseSystem,
+    SystemFlags,
+    SystemMorphism,
+    identity_morphism,
+    violations,
+)
 
 # sha256 of the oracle's verdicts on the three inputs, all seven properties
 # each, one line per verdict as verdict_to_dict writes it
@@ -129,6 +135,24 @@ def test_diagonal_bond_that_is_not_the_identity_is_refused_by_every_checker():
         with pytest.raises(ValueError) as err:
             check(prop, f)
         assert str(err.value) == "; ".join(violations(f))
+
+
+def test_mixed_index_kinds_are_refused_by_every_checker():
+    # a finite-poset system (here flagged eventually periodic, which only a
+    # sequence may be) into a sequence, and a sequence into a finite-poset
+    # system: the checkers decide one index kind at a time
+    chain = FiniteDirectedPoset.chain(("a", "b"))
+    x = InverseSystem(chain, objects={"a": Z4, "b": Z4},
+                      bonds={(a, b): identity(Z4) for a in "ab" for b in chain.above(a)},
+                      flags=SystemFlags(eventually_periodic=(0, 1)))
+    y = constant_system(Z4)
+    for f in (SystemMorphism(x, y, IndexMap(NAT, chain, rule=lambda n: "b"),
+                             lambda n: identity(Z4)),
+              SystemMorphism(y, x, IndexMap(chain, NAT, rule=lambda a: 0),
+                             lambda a: identity(Z4))):
+        for prop in PROPERTIES:
+            with pytest.raises(ValueError, match="index kinds differ"):
+                check(prop, f)
 
 
 def test_oracle_output_on_invalid_input_is_pinned():
