@@ -143,7 +143,8 @@ def test_mixed_index_kinds_are_refused_by_every_checker():
     # system: the checkers decide one index kind at a time
     chain = FiniteDirectedPoset.chain(("a", "b"))
     x = InverseSystem(chain, objects={"a": Z4, "b": Z4},
-                      bonds={(a, b): identity(Z4) for a in "ab" for b in chain.above(a)},
+                      bonds={(a, b): identity(Z4)
+                             for a in "ab" for b in chain.above(a)},
                       flags=SystemFlags(eventually_periodic=(0, 1)))
     y = constant_system(Z4)
     for f in (SystemMorphism(x, y, IndexMap(NAT, chain, rule=lambda n: "b"),
