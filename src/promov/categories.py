@@ -1,12 +1,13 @@
 """Category backends: finitely generated abelian groups and pointed finite sets.
 
 Objects and morphisms are immutable values.  The central operation is
-:func:`solve_factorization`, which decides whether a morphism satisfying a
-list of composition constraints L o u = R exists, returning a concrete
-witness or ``None`` as a proof of non-existence.  For abelian groups it
-writes u as steps times free unknowns, with the steps of
-Hom(+Z/d_j, +Z/e_i) that ``enumerate_homs`` also walks, so the congruence
-system it hands to Smith normal form holds only the constraints' rows.
+:func:`solve_factorization`, which decides whether a morphism u with one
+composition equation L o u = R exists, returning a concrete witness or
+``None`` as a proof of non-existence.  For abelian groups it writes u as
+steps times free unknowns, with the steps of Hom(+Z/d_j, +Z/e_i) that
+``enumerate_homs`` also walks, so the congruence system it hands to Smith
+normal form holds only the equation's rows.  For pointed sets u sends each
+element to the least L-preimage of its R-image.
 """
 
 from __future__ import annotations
@@ -222,44 +223,48 @@ def is_epimorphism(f: Morphism) -> bool:
 
 @dataclass(frozen=True)
 class FactorizationProblem:
-    """Find u : source -> target with L o u = R for every (L, R) pair in
-    constraints, where L : target -> W and R : source -> W."""
+    """Find u : source -> target with L o u = R, where L : target -> W and
+    R : source -> W; so source is R.source and target is L.source."""
 
-    source: Object
-    target: Object
-    constraints: tuple
+    L: Morphism
+    R: Morphism
 
     def __post_init__(self):
-        for L, R in self.constraints:
-            if not (L.source == self.target and R.source == self.source
-                    and R.target == L.target):
-                raise BackendError("constraint does not type-check")
+        if type(self.L) is not type(self.R) or self.L.target != self.R.target:
+            raise BackendError("L and R must share a backend and a target")
+
+    @property
+    def source(self) -> Object:
+        return self.R.source
+
+    @property
+    def target(self) -> Object:
+        return self.L.source
 
 
 def check_solution(p: FactorizationProblem, u: Morphism) -> bool:
-    return all(morphisms_equal(compose(L, u), R) for L, R in p.constraints)
+    return morphisms_equal(compose(p.L, u), p.R)
 
 
 def solve_factorization(p: FactorizationProblem) -> Optional[Morphism]:
-    """A morphism u: source -> target meeting every constraint, else None.
+    """A morphism u: source -> target with L o u = R, else None.
 
     Abelian: u's entries range over the multiples of the steps that make u
-    well defined, so the constraints alone form one linear congruence system
-    in the free unknowns, decided exactly.  Pointed sets: each constraint
-    restricts u pointwise, so per-element propagation is exhaustive and None
-    is likewise a proof.
+    well defined, so the equation alone forms one linear congruence system
+    in the free unknowns, decided exactly.  Pointed sets: u(s) must be an
+    L-preimage of R(s), chosen pointwise, so None is likewise a proof.
     """
     if isinstance(p.source, FgAbelianObject):
         u = _solve_abelian(p)
     else:
         u = _solve_pointed(p)
     if u is not None and not check_solution(p, u):
-        raise AssertionError("solver returned a morphism that fails its constraints")
+        raise AssertionError("solver returned a morphism that fails its equation")
     return u
 
 
 def _solve_abelian(p: FactorizationProblem) -> Optional[FgAbelianMorphism]:
-    S, T = p.source, p.target
+    L, R, S, T = p.L, p.R, p.source, p.target
     s = S.rank
     # Hom(S, T) is the matrices with x[i][j] in steps[i][j]*Z: d_j x = 0 in
     # Z/e_i, so the step is e_i / gcd(d_j, e_i), 1 from a Z summand (d_j = 0)
@@ -269,15 +274,14 @@ def _solve_abelian(p: FactorizationProblem) -> Optional[FgAbelianMorphism]:
     # L o u = R with L: T -> W, R: S -> W; row (a, j) holds
     # L[a][i] * steps[i][j] at y[i][j] for every i
     flat, rhs, mods = [], [], []
-    for L, R in p.constraints:
-        for a, w in enumerate(L.target.factors):
-            la = L.matrix.row(a)
-            for j in range(s):
-                row = [0] * len(steps)
-                row[j::s] = map(mul, la, steps[j::s])
-                flat += row
-                rhs.append(R.matrix.at(a, j))
-                mods.append(w)
+    for a, w in enumerate(L.target.factors):
+        la = L.matrix.row(a)
+        for j in range(s):
+            row = [0] * len(steps)
+            row[j::s] = map(mul, la, steps[j::s])
+            flat += row
+            rhs.append(R.matrix.at(a, j))
+            mods.append(w)
 
     if not rhs:
         return abelian_zero(S, T)
@@ -289,21 +293,14 @@ def _solve_abelian(p: FactorizationProblem) -> Optional[FgAbelianMorphism]:
 
 
 def _solve_pointed(p: FactorizationProblem) -> Optional[PointedMap]:
-    S, T = p.source, p.target
-    allowed = [set(range(T.size)) for _ in range(S.size)]
-    allowed[0] = {0}
-
-    # L(u(s)) = R(s): u(s) must lie in the L-preimage of R(s)
-    for L, R in p.constraints:
-        pre = {}
-        for t, w in enumerate(L.images):
-            pre.setdefault(w, set()).add(t)
-        for s in range(S.size):
-            allowed[s] &= pre.get(R.images[s], set())
-
-    if not all(allowed):
+    # L(u(s)) = R(s): u(s) is the least L-preimage of R(s), 0 for s = 0
+    least = {}
+    for t, w in enumerate(p.L.images):
+        least.setdefault(w, t)
+    images = tuple(least.get(r) for r in p.R.images)
+    if None in images:
         return None
-    return PointedMap(S, T, tuple(min(a) for a in allowed))
+    return PointedMap(p.source, p.target, images)
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,17 @@ FailsAtHorizon (the outcome inside the horizon box), or Unknown; the verdict
 is the worst, FailsAtHorizon < Unknown < HoldsAtHorizon < HoldsStabilized.
 FailsAtHorizon proves that no witness exists inside the box: evidence, not a
 theorem, of failure of the unbounded property, and reports say so.  A
-morphism between index kinds is refused, and input over a finite directed
-poset is refused unless valid; the box then holds every index and every
-property holds at its top, so the verdict is Holds (only the oracle returns
-Fails).  Within one checker call each distinct factorization problem is
-solved and verified once.
+morphism between index kinds is refused, and so is a sequence box with
+lambda_max below some phi(mu), or a search with no key in its box.  Input
+over a finite directed poset is refused unless valid; the box then holds
+every index and every property holds at its top, so the verdict is Holds
+(only the oracle returns Fails).
 
 The six morphism checkers are one search.  For each outer index mu it probes
-one lambda and looks for a witness w : X_lambda -> Z_k with
-L_k o w = f_{mu lambda} at every deeper key k.  A property fixes only a side
-and a kind:
+one lambda, the top of the box, and looks for a witness w : X_lambda -> Z_k
+with L_k o w = f_{mu lambda} at every deeper key k: one factorization
+problem, solved and verified once per checker call.  A property fixes only a
+side and a kind:
 
     side     Z  keys           L_k       lambda* equation (strong kind)
     target   Y  k >= mu        q_{mu k}  w o p_{lambda lambda*} = f_{k lambda*}
@@ -46,7 +47,7 @@ from .categories import (
     solve_factorization,
 )
 from .indexsets import is_finite_index
-from .systems import InverseSystem, SystemMorphism, identity_morphism, restrict, violations
+from .systems import InverseSystem, SystemMorphism, restrict, violations
 
 HORIZON_DISCLAIMER = (
     "horizon-bounded result: a Fails/Holds-at-horizon status is evidence "
@@ -139,24 +140,17 @@ class HorizonError(ValueError):
 # shared machinery
 
 
-def _probe_lambda(x: InverseSystem, mu, pm, h: Horizon):
-    """The single probed movability-index candidate on the source x, for an
-    outer index mu whose probe must lie above pm = phi(mu): the greatest
-    element on finite posets, lambda_max on sequences.  Sound because
-    movability-type indices are upward closed."""
-    if not is_finite_index(x.index) and pm > h.lambda_max:
-        raise HorizonError(
-            f"phi({mu}) = {pm} exceeds lambda_max = {h.lambda_max}")
-    return x.top(h.lambda_max)
-
-
 def _keys(z: InverseSystem, low, h: Horizon, uniform: bool, name: str):
     """(keys, certification limit, extra) of a search at index low of z:
-    every deeper in-range index, or the single key top, the greatest
-    in-range index, which must lie above low (on a finite poset it is the
-    greatest element, so it always does)."""
+    every deeper in-range index, of which there must be one, or the single
+    key top, the greatest in-range index, which must lie above low (on a
+    finite poset it is the greatest element, so it always does)."""
     if not uniform:
-        return z.index.above(low, limit=h.muprime_max), h.muprime_max, {}
+        keys = z.index.above(low, limit=h.muprime_max)
+        if not keys:
+            raise HorizonError(
+                f"muprime_max = {h.muprime_max} is below {name} = {low}")
+        return keys, h.muprime_max, {}
     top = z.top(h.cone_max)
     if not z.index.leq(low, top):
         raise HorizonError(f"cone depth {h.cone_max} is below {name} = {low}")
@@ -180,34 +174,30 @@ def _periodic_covered(system: InverseSystem, h_limit: int) -> bool:
     return h_limit >= off + per
 
 
-def _solver():
-    """Factorization solver for one checker call, memoized on the problem.
-
-    solve(source, target, pairs) takes the constraints L o u = R as (L, R)
-    pairs and is cached on the plain tuple (source, target, pairs).  Only a
-    miss builds the FactorizationProblem, so a problem is built and
-    type-checked only when it is solved, and every answer is verified by
-    solve_factorization.  A repeated problem gets back the very morphism (or
-    None) produced the first time.  The memo is dropped with the checker
-    call that made it.
-    """
-    @cache
-    def solve(source, target, pairs) -> Optional[Morphism]:
-        return solve_factorization(FactorizationProblem(source, target, pairs))
-
-    return solve
+def _solve(L: Morphism, R: Morphism) -> Optional[Morphism]:
+    """A u with L o u = R, verified by solve_factorization, else None.  Each
+    checker call wraps it in its own functools.cache, so a problem is built
+    only on a miss and a repeat gets back the very same answer."""
+    return solve_factorization(FactorizationProblem(L, R))
 
 
-def _admit(f: SystemMorphism) -> bool:
+def _admit(f: SystemMorphism, h: Horizon) -> bool:
     """Whether f's index sets are finite posets.  ValueError if only one of
     them is (mixed index kinds are unsupported), or naming the violations if
     both are and f is invalid (a sequence's bonds are composites of its
-    steps, so it is left to promov validate's horizon spot-check)."""
+    steps, so it is left to promov validate's horizon spot-check).
+    HorizonError unless phi(mu) <= lambda_max for every mu of a sequence's
+    box, so the top of the box is a probe lambda for every mu: sound
+    because movability-type indices are upward closed."""
     finite = is_finite_index(f.target.index)
     if is_finite_index(f.source.index) != finite:
         raise ValueError("source and target index kinds differ")
     if finite and violations(f):
         raise ValueError("; ".join(violations(f)))
+    for mu in () if finite else f.target.index.above(limit=h.mu_max):
+        if f.phi(mu) > h.lambda_max:
+            raise HorizonError(
+                f"phi({mu}) = {f.phi(mu)} exceeds lambda_max = {h.lambda_max}")
     return finite
 
 
@@ -242,8 +232,8 @@ _UNIFORM = "uniform"
 
 
 def _search(prop: str, f: SystemMorphism, h: Horizon, co: bool, kind: str) -> Verdict:
-    finite = _admit(f)
-    solve = _solver()
+    finite = _admit(f, h)
+    solve = cache(_solve)
     per_mu = [_search_mu(f, mu, h, co, kind, finite, solve)
               for mu in f.target.index.above(limit=h.mu_max)]
     return _assemble(prop, per_mu, h, finite)
@@ -267,7 +257,7 @@ def _search_mu(f: SystemMorphism, mu, h: Horizon, co: bool, kind: str,
         # lambda* >= lam and >= the least index R_k is defined at
         return x.index.above(lam, k if co else f.phi(k), limit=h.lambda_max)
 
-    lam = _probe_lambda(x, mu, f.phi(mu), h)
+    lam = x.top(h.lambda_max)
     keys, limit, extra = _keys(z, low, h, kind == _UNIFORM,
                                "phi(mu)" if co else "mu")
 
@@ -314,7 +304,7 @@ def _search_mu(f: SystemMorphism, mu, h: Horizon, co: bool, kind: str,
             # the one-sided equation is implied by the strong one, so its
             # failure is a genuine refutation even when no lambda* is in
             # range; a strong search solves it only to classify its failure
-            u = solve(x.object_at(lam), z.object_at(k), ((left(k), flam),))
+            u = solve(left(k), flam)
             if u is None:
                 reason = (f"no {'co-' if co else ''}cone top-leg factorization"
                           if kind == _UNIFORM else
@@ -387,7 +377,7 @@ def mittag_leffler(f: SystemMorphism, h: Horizon = Horizon()) -> Verdict:
     reported as Unknown together with the chain.
     """
     x, y = f.source, f.target
-    finite = _admit(f)
+    finite = _admit(f, h)
     per_mu = []
     notes = []
     for mu in y.index.above(limit=h.mu_max):
@@ -448,16 +438,16 @@ def mittag_leffler(f: SystemMorphism, h: Horizon = Horizon()) -> Verdict:
 
 
 def movable_system(x: InverseSystem, h: Horizon = Horizon()) -> Verdict:
-    return _relabel(movable_morphism(identity_morphism(x), h), "movable_system")
+    return _relabel(movable_morphism(x.identity_morphism, h), "movable_system")
 
 
 def strongly_movable_system(x: InverseSystem, h: Horizon = Horizon()) -> Verdict:
-    return _relabel(strongly_movable_morphism(identity_morphism(x), h),
+    return _relabel(strongly_movable_morphism(x.identity_morphism, h),
                     "strongly_movable_system")
 
 
 def uniformly_movable_system(x: InverseSystem, h: Horizon = Horizon()) -> Verdict:
-    return _relabel(uniformly_movable_morphism(identity_morphism(x), h),
+    return _relabel(uniformly_movable_morphism(x.identity_morphism, h),
                     "uniformly_movable_system")
 
 
@@ -487,13 +477,13 @@ def _c0_search(prop: str, x: InverseSystem, c0_objects, h: Horizon,
     """For each mu and each probe hm : X0 -> X_lambda, a witness r with
     q_{mu k} o r = q_{mu lambda} o hm at every key k: each deeper index, or
     the single cone top."""
-    finite = _admit(identity_morphism(x))
+    finite = _admit(x.identity_morphism, h)
     if not c0_objects:
         return _assemble(prop, [], h, finite, notes=["vacuous: empty probe class"])
-    solve = _solver()
+    solve = cache(_solve)
     per_mu = []
     for mu in x.index.above(limit=h.mu_max):
-        probe = _probe_lambda(x, mu, mu, h)
+        probe = x.top(h.lambda_max)
         keys, limit, extra = _keys(x, mu, h, uniform, "mu")
         rec = WitnessRecord(mu, probe, None, extra=extra)
         q_probe = x.bond(mu, probe)
@@ -503,8 +493,7 @@ def _c0_search(prop: str, x: InverseSystem, c0_objects, h: Horizon,
         failed = next((Refutation(mu, probe, k, reason)
                        for k in keys for x0 in c0_objects
                        for hm in cat.enumerate_homs(x0, x.object_at(probe))
-                       if solve(x0, x.object_at(k), ((
-                           x.bond(mu, k), compose(q_probe, hm)),)) is None),
+                       if solve(x.bond(mu, k), compose(q_probe, hm)) is None),
                       None)
         if failed is not None:
             per_mu.append((FAILS_AT_HORIZON, failed))

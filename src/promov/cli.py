@@ -61,10 +61,14 @@ def _enc_int(n: int) -> str:
     return str(int(n))
 
 
+def _is_decimal(s) -> bool:
+    return isinstance(s, str) and s.isascii() and s.removeprefix("-").isdigit()
+
+
 def _dec_int(s) -> int:
     """The integer a decimal string spells: ASCII digits after an optional
     minus sign.  A JSON number or boolean is refused, not truncated."""
-    if not (isinstance(s, str) and s.isascii() and s.removeprefix("-").isdigit()):
+    if not _is_decimal(s):
         raise DocumentError(f"not a decimal integer: {s!r}")
     return int(s)
 
@@ -317,20 +321,22 @@ def _extra_to_json(extra: dict) -> list:
 
 
 def _deep_listify(v):
+    # a string spelling a decimal integer is tagged, so it decodes as a string
     if isinstance(v, (list, tuple)):
         return [_deep_listify(x) for x in v]
     if isinstance(v, int):
         return _enc_int(v)
+    if _is_decimal(v):
+        return {"str": v}
     return v
 
 
 def _deep_intify(v):
     if isinstance(v, list):
         return tuple(_deep_intify(x) for x in v)
-    try:
-        return _dec_int(v)
-    except DocumentError:
-        return v
+    if isinstance(v, dict):
+        return v["str"]
+    return _dec_int(v) if _is_decimal(v) else v
 
 
 def _extra_from_json(items: list) -> dict:

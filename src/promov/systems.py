@@ -21,6 +21,7 @@ compose exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 from . import categories as cat
@@ -52,7 +53,6 @@ class InverseSystem:
         self.index = index
         self.flags = flags
         self.name = name
-        self._violations = None  # the list violations computes once
         if is_finite_index(index):
             if objects is None or bonds is None:
                 raise ValueError("finite-poset systems need objects and bonds tables")
@@ -124,6 +124,12 @@ class InverseSystem:
         if p is None:
             p = self._bonds[(lam, lam)] = identity(self.object_at(lam))
         return p
+
+    @cached_property
+    def identity_morphism(self) -> SystemMorphism:
+        """1_X, built on first use and kept: the system-level checks share
+        it, and with it the violations list it keeps."""
+        return identity_morphism(self)
 
     def top(self, horizon: int):
         """Greatest in-range index: poset greatest element, or the horizon."""
@@ -271,14 +277,12 @@ def validate_morphism(f: SystemMorphism, horizon: int = 8) -> list:
 
 def violations(f: SystemMorphism) -> list:
     """What ``promov validate`` lists for f, computed once and kept on f:
-    validate_system on the source and a distinct target, each computed once
-    and kept on its system, then validate_morphism."""
+    validate_system on the source and a distinct target, then
+    validate_morphism."""
     if f._violations is None:
         out = []
         for x in (f.source,) if f.target is f.source else (f.source, f.target):
-            if x._violations is None:
-                x._violations = validate_system(x)
-            out += x._violations
+            out += validate_system(x)
         f._violations = out + validate_morphism(f)
     return f._violations
 

@@ -179,12 +179,33 @@ def test_non_exact_verdicts_carry_disclaimer():
         assert v.horizon is not None
 
 
-def test_horizon_too_small_for_phi():
+@pytest.mark.parametrize("prop", PROPERTIES)
+def test_horizon_too_small_for_phi(prop):
+    # phi(5) = 15 > lambda_max = 12: no probe lambda >= phi(mu) is in the box
     F, G, f = example_2_27()
     squeezed = SystemMorphism(F, G, IndexMap(NAT, NAT, rule=lambda n: 3 * n),
                               lambda n: compose(f.f(n), F.bond(n, 3 * n)))
-    with pytest.raises(HorizonError):
-        movable_morphism(squeezed, Horizon(6, 12, 13, 13))
+    with pytest.raises(HorizonError, match=r"phi\(5\) = 15 exceeds lambda_max = 12"):
+        check(prop, squeezed, Horizon(6, 12, 13, 13))
+
+
+def test_c0_check_with_no_probes_refuses_mu_above_lambda_max():
+    # the box is refused before an empty probe class makes the check vacuous
+    with pytest.raises(HorizonError, match=r"phi\(4\) = 4 exceeds lambda_max = 3"):
+        c0_movable_system(constant_system(Z(4)), [], Horizon(6, 3, 13, 13))
+
+
+@pytest.mark.parametrize("prop", ["co_movable", "strongly_co_movable"])
+def test_co_search_refuses_an_empty_key_range(prop):
+    # phi(mu) = mu + 3 lies past muprime_max = 6 for mu = 4, 5, 6: no deeper
+    # key is in the box, so no witness is checked there and the search must
+    # not certify that mu
+    x = constant_system(Z(4))
+    f = SystemMorphism(x, x, IndexMap(NAT, NAT, rule=lambda n: n + 3),
+                       lambda n: x.bond(n, n + 3))
+    with pytest.raises(HorizonError, match=r"muprime_max = 6 is below phi\(mu\) = 7"):
+        check(prop, f, Horizon(6, 12, 6, 13))
+    assert check(prop, f, Horizon(6, 12, 9, 13)).is_positive()
 
 
 def test_c0_checks():
@@ -222,22 +243,27 @@ def test_c0_box_too_small_is_refused(system_check, c0_check, box):
 
 
 def test_a_system_is_validated_once_across_its_checks(monkeypatch):
-    # each system check builds its own identity morphism, but the system's
-    # validate_system list is computed once and kept on the system
+    # the system checks share the identity morphism kept on the system, and
+    # with it its violations list: validate_system and validate_morphism
+    # each run once
     calls = []
-    validate = promov.systems.validate_system
 
-    def counting(x, *args):
-        calls.append(x)
-        return validate(x, *args)
+    def counting(validate):
+        def counted(v, *args):
+            calls.append((validate.__name__, v))
+            return validate(v, *args)
+        return counted
 
-    monkeypatch.setattr(promov.systems, "validate_system", counting)
+    for name in ("validate_system", "validate_morphism"):
+        monkeypatch.setattr(promov.systems, name,
+                            counting(getattr(promov.systems, name)))
     x = constant_poset_system(FiniteDirectedPoset.chain(("a", "b", "c")), Z(4))
     for system_check in (movable_system, checkers.strongly_movable_system,
                          uniformly_movable_system):
         assert system_check(x, H).status == HOLDS
     assert c0_movable_system(x, [Z(2)], H).status == HOLDS
-    assert calls == [x]
+    assert calls == [("validate_system", x),
+                     ("validate_morphism", x.identity_morphism)]
 
 
 def test_unknown_property_rejected():
@@ -303,8 +329,7 @@ def test_strong_search_takes_the_right_side_as_its_witness(monkeypatch):
     F, G, f = example_2_27()
     v = check("strongly_movable", f, H)
     assert v.status == UNKNOWN
-    assert all(len(p.constraints) == 1 for p, _ in solved)
-    one_sided = {(p.target, p.constraints[0][0]) for p, _ in solved}
+    one_sided = {(p.target, p.L) for p, _ in solved}
     witnessed = set()
     for rec in v.witnesses:
         for k, u in rec.witnesses.items():
@@ -339,8 +364,9 @@ def test_strong_search_refuses_a_diagonal_bond_that_is_not_the_identity(prop):
 
 
 def test_one_check_builds_only_the_problems_it_solves(monkeypatch):
-    # the memo is keyed by plain tuples: a FactorizationProblem is built
-    # (and type-checked) only on a miss, for the solver call it feeds
+    # the memo is keyed by the equation's sides (L, R): a
+    # FactorizationProblem is built (and type-checked) only on a miss, for
+    # the solver call it feeds
     built, solved = [], []
     problem, solve = checkers.FactorizationProblem, checkers.solve_factorization
 

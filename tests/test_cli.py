@@ -122,9 +122,11 @@ def test_structured_verdict_round_trips(tmp_path):
 
 def test_verdicts_round_trip_on_corpus_instances():
     # the oracle's admissible indices decode as the tuple it stores, and a
-    # label that int() reads but that is not a decimal string stays a string
-    odd = constant_poset_system(FiniteDirectedPoset.chain(("1_0", " 7")), Z(4))
-    for f in finite_instance_corpus(5, 4) + [identity_morphism(odd)]:
+    # label that int() reads, whether or not it is a decimal string, stays
+    # a string
+    odd = [constant_poset_system(FiniteDirectedPoset.chain(labels), Z(4))
+           for labels in (("1_0", " 7"), ("7", "8"))]
+    for f in finite_instance_corpus(5, 4) + [identity_morphism(x) for x in odd]:
         for prop in PROPERTIES:
             for v in (check(prop, f), oracle_check(prop, f)):
                 assert verdict_from_dict(verdict_to_dict(v)) == v
@@ -311,6 +313,15 @@ def test_demo_deterministic():
     assert [d["status"] for d in docs] == [
         "HoldsStabilized", "FailsAtHorizon", "FailsAtHorizon",
         "HoldsStabilized"]
+
+
+@pytest.mark.parametrize("prop", PROPERTIES)
+def test_phi_above_lambda_max_exits_2(tmp_path, capsys, prop):
+    path = write(tmp_path, {"index": {"kind": "nat"}, "family": "constant",
+                            "params": {"modulus": "4"}})
+    code, text = run(["check", prop, path, "--horizon-lambda", "3"])
+    assert code == EXIT_PARSE and text == ""
+    assert "phi(4) = 4 exceeds lambda_max = 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("prop", ["uniformly_movable", "uniformly_co_movable"])
