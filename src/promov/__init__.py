@@ -34,7 +34,7 @@ from .checkers import (
     uniformly_movable_morphism,
     uniformly_movable_system,
 )
-from .indexsets import NAT, FiniteDirectedPoset, IndexMap, NatIndex
+from .indexsets import NAT, FiniteDirectedPoset, NatIndex
 from .intlinalg import IntMatrix, snf, solve_congruence_system
 from .oracle import oracle_check
 from .systems import (

@@ -266,11 +266,8 @@ def solve_factorization(p: FactorizationProblem) -> Optional[Morphism]:
 def _solve_abelian(p: FactorizationProblem) -> Optional[FgAbelianMorphism]:
     L, R, S, T = p.L, p.R, p.source, p.target
     s = S.rank
-    # Hom(S, T) is the matrices with x[i][j] in steps[i][j]*Z: d_j x = 0 in
-    # Z/e_i, so the step is e_i / gcd(d_j, e_i), 1 from a Z summand (d_j = 0)
-    # and 0 into one (e_i = 0 < d_j); u = steps * y over free unknowns y,
-    # row-major at i * s + j
-    steps = [e // gcd(d, e) if d else 1 for e in T.factors for d in S.factors]
+    # u = steps * y over free unknowns y, row-major at i * s + j
+    steps = _steps(S, T)
     # L o u = R with L: T -> W, R: S -> W; row (a, j) holds
     # L[a][i] * steps[i][j] at y[i][j] for every i
     flat, rhs, mods = [], [], []
@@ -398,20 +395,27 @@ def subobjects_equal(s1: Subobject, s2: Subobject) -> bool:
 # hom-set enumeration and the forgetful functor
 
 
+def _steps(a: FgAbelianObject, b: FgAbelianObject) -> list:
+    """Hom(a, b) is the matrices whose entry (i, j) lies in steps[i * a.rank
+    + j] * Z: d_j x = 0 in Z/e_i, so the step is e_i / gcd(d_j, e_i), 1 from
+    a Z summand (d_j = 0) and 0 into one (e_i = 0 < d_j)."""
+    return [e // gcd(d, e) if d else 1 for e in b.factors for d in a.factors]
+
+
+def _entry_values(a: FgAbelianObject, b: FgAbelianObject) -> list:
+    """Each entry's values mod e_i, row-major: the multiples of its step
+    below e_i, or 0 alone (step 0).  Empty for an entry from Z into Z."""
+    ends = [e for e in b.factors for _ in a.factors]
+    return [range(0, e, s) if s else (0,) for e, s in zip(ends, _steps(a, b))]
+
+
 def hom_count(a: Object, b: Object) -> Optional[int]:
     """Size of Hom(a, b), or None if infinite."""
     if isinstance(a, PointedFiniteSet):
         return b.size ** (a.size - 1)
-    total = 1
-    for d in a.factors:
-        for e in b.factors:
-            if e == 0:
-                if d == 0:
-                    return None  # Hom(Z, Z) is infinite
-                # d x = 0 in Z forces x = 0
-                continue
-            total *= e if d == 0 else gcd(d, e)
-    return total
+    if 0 in a.factors and 0 in b.factors:
+        return None  # Hom(Z, Z) is infinite
+    return prod(map(len, _entry_values(a, b)))
 
 
 def enumerate_homs(a: Object, b: Object) -> Iterator[Morphism]:
@@ -426,17 +430,7 @@ def enumerate_homs(a: Object, b: Object) -> Iterator[Morphism]:
         for tail in itertools.product(range(b.size), repeat=a.size - 1):
             yield PointedMap(a, b, (0,) + tail)
         return
-    per_entry = []
-    for i, e in enumerate(b.factors):
-        for j, d in enumerate(a.factors):
-            if e == 0:
-                per_entry.append([0])
-            elif d == 0:
-                per_entry.append(list(range(e)))
-            else:
-                step = e // gcd(d, e)
-                per_entry.append(list(range(0, e, step)))
-    for combo in itertools.product(*per_entry):
+    for combo in itertools.product(*_entry_values(a, b)):
         m = IntMatrix(b.rank, a.rank, tuple(combo))
         yield FgAbelianMorphism(a, b, m)
 

@@ -29,7 +29,7 @@ from .categories import (
     identity,
 )
 from .checkers import Horizon, Refutation, Verdict, WitnessRecord
-from .indexsets import FiniteDirectedPoset, IndexMap, is_finite_index, validate_poset
+from .indexsets import FiniteDirectedPoset, is_finite_index, validate_poset
 from .intlinalg import IntMatrix
 from .oracle import OracleCapExceeded, oracle_check
 from .systems import (
@@ -176,12 +176,11 @@ def _table(doc: dict, key: str, width: int, default=None, labels=0) -> list:
 def _build_family(doc: dict, seed_override):
     """What the family named by a nat-index document builds: a system or
     an (F, G, f) triple."""
-    return fam.build_family(fam.FamilySpec(
+    return fam.build_family(
         doc.get("family", ""),
-        tuple(sorted((k, _dec_int(v))
-                     for k, v in _field(doc, "params", dict, {}).items())),
+        {k: _dec_int(v) for k, v in _field(doc, "params", dict, {}).items()},
         seed_override if seed_override is not None
-        else _dec_int(doc.get("seed", "0"))))
+        else _dec_int(doc.get("seed", "0")))
 
 
 def system_from_dict(doc: dict, seed_override=None) -> InverseSystem:
@@ -272,9 +271,8 @@ def _table_morphism(doc: dict, key: str, source: InverseSystem,
                if mu not in phi_table or mu not in f_table]
     if missing:
         raise DocumentError(f"morphism tables missing indices {missing!r}")
-    phi = IndexMap.from_table(target.index, source.index, phi_table)
-    return SystemMorphism(source, target, phi, lambda mu: f_table[mu],
-                          name=doc.get("name", "document"))
+    return SystemMorphism(source, target, phi_table.__getitem__,
+                          lambda mu: f_table[mu], name=doc.get("name", "document"))
 
 
 def load_document(path: str) -> dict:

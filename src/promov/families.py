@@ -9,7 +9,6 @@ and eventually periodic sequences (the stabilization rules apply).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import categories as cat
 from .categories import (
@@ -24,7 +23,7 @@ from .categories import (
     forgetful_to_sets,
     identity,
 )
-from .indexsets import NAT, FiniteDirectedPoset, IndexMap, is_finite_index
+from .indexsets import NAT, FiniteDirectedPoset, is_finite_index
 from .intlinalg import IntMatrix
 from .systems import (
     InverseSystem,
@@ -35,19 +34,9 @@ from .systems import (
 )
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Addressable recipe: family code, integer parameters, seed."""
-
-    code: str
-    params: tuple = ()       # sorted (name, value) pairs
-    seed: int = 0
-
-    def param(self, name, default=None):
-        for k, v in self.params:
-            if k == name:
-                return v
-        return default
+def _same(n):
+    """The identity index function."""
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +59,7 @@ def example_2_27():
     G = InverseSystem(NAT, object_rule=lambda n: Z(2 ** n),
                       step_rule=lambda n: _reduction(Z(2 ** (n + 1)), Z(2 ** n)),
                       flags=SystemFlags(all_bondings_epimorphic=True), name="G")
-    f = SystemMorphism(F, G, IndexMap.identity(NAT),
-                       lambda n: _reduction(Z(0), Z(2 ** n)), name="f")
+    f = SystemMorphism(F, G, _same, lambda n: _reduction(Z(0), Z(2 ** n)), name="f")
     return F, G, f
 
 
@@ -193,7 +181,7 @@ def random_finite_morphism(rng: random.Random, backend: str,
     if kind == 1:
         # bond restriction: phi(mu) random above mu, f_mu the bond
         table = {mu: rng.choice(poset.above(mu)) for mu in poset.members()}
-        return SystemMorphism(x, x, IndexMap.from_table(poset, poset, table),
+        return SystemMorphism(x, x, table.__getitem__,
                               lambda mu: x.bond(mu, table[mu]),
                               name="bond-restriction")
     f = _top_anchored(rng, x, backend)
@@ -214,7 +202,7 @@ def _top_anchored(rng: random.Random, x: InverseSystem, backend: str,
     y = random_finite_system(rng, backend, shape=shape)
     g = _random_hom(rng, x.object_at(top), y.object_at(top))
     table = {mu: top for mu in poset.members()}
-    return SystemMorphism(x, y, IndexMap.from_table(poset, poset, table),
+    return SystemMorphism(x, y, table.__getitem__,
                           lambda mu: compose(y.bond(mu, top), g), name=name)
 
 
@@ -286,17 +274,16 @@ def random_sequence_morphism(seed: int, backend: str = "abelian") -> SystemMorph
     choices.append(identity_morphism(x))
     shift = rng.randrange(1, 4)
     choices.append(SystemMorphism(
-        x, x, IndexMap(NAT, NAT, rule=lambda n, s=shift: n + s),
+        x, x, lambda n, s=shift: n + s,
         lambda n, s=shift: x.bond(n, n + s), name="bond-restriction"))
     if backend == "abelian":
         c = rng.randrange(0, 5)
         choices.append(SystemMorphism(
-            x, x, IndexMap.identity(NAT),
-            lambda n, c=c: abelian_scalar(x.object_at(n), c),
+            x, x, _same, lambda n, c=c: abelian_scalar(x.object_at(n), c),
             name=f"scalar-{c}"))
     else:
         choices.append(SystemMorphism(
-            x, x, IndexMap.identity(NAT),
+            x, x, _same,
             lambda n: cat.pointed_constant(x.object_at(n), x.object_at(n)),
             name="constant"))
     f = choices[rng.randrange(len(choices))]
@@ -326,17 +313,14 @@ def perturb_equivalent(f: SystemMorphism, seed: int) -> SystemMorphism:
     x = f.source
     if not is_finite_index(x.index):
         shift = rng.randrange(1, 4)
-        phi2 = IndexMap(f.target.index, x.index,
-                        rule=lambda n, s=shift: f.phi(n) + s)
         return SystemMorphism(
-            x, f.target, phi2,
+            x, f.target, lambda n, s=shift: f.phi(n) + s,
             lambda mu, s=shift: compose(f.f(mu), x.bond(f.phi(mu), f.phi(mu) + s)),
             name=f"{f.name}-perturbed")
     top = x.index.greatest()
     table = {mu: top for mu in f.target.index.members()}
-    phi2 = IndexMap.from_table(f.target.index, x.index, table)
     return SystemMorphism(
-        x, f.target, phi2,
+        x, f.target, table.__getitem__,
         lambda mu: compose(f.f(mu), x.bond(f.phi(mu), top)),
         name=f"{f.name}-perturbed")
 
@@ -360,10 +344,8 @@ def domination_pair(seed: int):
         [[1 if i == j else 0 for j in range(rab)] for i in range(ra)]))
     X = constant_system(A)
     Y = constant_system(AB)
-    f = SystemMorphism(X, Y, IndexMap.identity(NAT), lambda n: incl,
-                       name="section")
-    g = SystemMorphism(Y, X, IndexMap.identity(NAT), lambda n: proj,
-                       name="retraction")
+    f = SystemMorphism(X, Y, _same, lambda n: incl, name="section")
+    g = SystemMorphism(Y, X, _same, lambda n: proj, name="retraction")
     return f, g
 
 
@@ -408,19 +390,18 @@ def cofinal_decreasing_phi_instance(seed: int) -> SystemMorphism:
     return _top_anchored(rng, x, backend)
 
 
-def build_family(spec: FamilySpec):
-    """CLI entry: instantiate a named family from its spec."""
-    code = spec.code
+def build_family(code: str, params: dict = None, seed: int = 0):
+    """The named family: a system or an (F, G, f) triple.  ``params`` maps
+    parameter names to ints; it is only read, and a name the family does
+    not read is ignored."""
+    param = (params or {}).get
     if code == "example_2_27":
         return example_2_27()
     if code == "constant":
-        n = spec.param("modulus", 2)
-        return constant_system(FgAbelianObject((n,)))
+        return constant_system(FgAbelianObject((param("modulus", 2),)))
     if code == "set_sequence":
-        return random_set_sequence(spec.seed,
-                                   period=spec.param("period", 2),
-                                   max_size=spec.param("max_size", 4))
+        return random_set_sequence(seed, period=param("period", 2),
+                                   max_size=param("max_size", 4))
     if code == "abelian_sequence":
-        return random_abelian_sequence(spec.seed,
-                                       period=spec.param("period", 2))
+        return random_abelian_sequence(seed, period=param("period", 2))
     raise ValueError(f"unknown family code {code!r}")

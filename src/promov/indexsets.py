@@ -1,9 +1,12 @@
-"""Directed index sets: finite directed posets and the natural-number chain."""
+"""Directed index sets: finite directed posets and the natural-number chain.
+
+A function between index sets, such as a morphism's phi, is a plain callable.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Union
 
 
 @dataclass(frozen=True)
@@ -121,33 +124,3 @@ def validate_poset(p: FiniteDirectedPoset) -> list:
             if not any(p.leq(a, u) and p.leq(b, u) for u in els):
                 out.append(f"no upper bound for ({a!r}, {b!r})")
     return out
-
-
-@dataclass(frozen=True)
-class IndexMap:
-    """A plain function between index sets (no monotonicity assumed).
-
-    Finite sources carry a table; NatIndex sources carry a closed-form rule.
-    """
-
-    source: IndexSet
-    target: IndexSet
-    table: Optional[dict] = None
-    rule: Optional[Callable[[int], int]] = None
-
-    def __call__(self, x):
-        if self.table is not None:
-            return self.table[x]
-        if self.rule is not None:
-            return self.rule(x)
-        raise ValueError("index map carries neither table nor rule")
-
-    @staticmethod
-    def identity(idx: IndexSet) -> "IndexMap":
-        if isinstance(idx, FiniteDirectedPoset):
-            return IndexMap(idx, idx, table={x: x for x in idx.elements})
-        return IndexMap(idx, idx, rule=lambda n: n)
-
-    @staticmethod
-    def from_table(source: IndexSet, target: IndexSet, table: dict) -> "IndexMap":
-        return IndexMap(source, target, table=dict(table))

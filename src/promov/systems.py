@@ -3,10 +3,12 @@
 Finite-poset systems carry full bond tables and are checked exactly.
 Sequence systems (over the natural-number chain) carry generator rules for
 objects and step bonds; all judgments about them are horizon-bounded.  A
-system hands out one value per request: each object, step and identity bond
-is built once, and each composite bond is composed once, all kept in the
-system's tables (the step bonds in the bond table, under (n, n + 1)).  A system morphism caches its components f_mu and its restrictions
-f_{mu lam} the same way: each is built or composed once per morphism.
+system morphism's index function phi is a plain callable.  A system hands
+out one value per request: each object, step and identity bond is built
+once, and each composite bond is composed once, all kept in the system's
+tables (the step bonds in the bond table, under (n, n + 1)).  A system
+morphism caches its components f_mu and its restrictions f_{mu lam} the
+same way: each is built or composed once per morphism.
 
 On a sequence a missing composite is derived from its nearest cached
 neighbour, one compose per stage: a bond from a shorter bond with the same
@@ -26,16 +28,27 @@ from typing import Callable, Optional
 
 from . import categories as cat
 from .categories import BackendError, Morphism, Object, compose, identity, morphisms_equal
-from .indexsets import IndexMap, IndexSet, is_finite_index
+from .indexsets import IndexSet, is_finite_index
 
 
 @dataclass(frozen=True)
 class SystemFlags:
     """Declared structural facts used by stabilization rules (spot-verified
-    by validate_system up to the working horizon, never assumed silently)."""
+    by validate_system up to the working horizon, never assumed silently).
+    A periodicity flag that is not a tuple of two ints, offset >= 0 and
+    period >= 1, is a ValueError: with it the eventual-periodicity rule
+    would certify a tail it never looked at."""
 
     all_bondings_epimorphic: bool = False
     eventually_periodic: Optional[tuple] = None  # (offset, period)
+
+    def __post_init__(self):
+        ep = self.eventually_periodic
+        if ep is not None and not (
+                isinstance(ep, tuple) and len(ep) == 2
+                and all(type(v) is int for v in ep) and ep[0] >= 0 and ep[1] >= 1):
+            raise ValueError("eventually_periodic must be a tuple (offset, period) "
+                             f"of ints, offset >= 0 and period >= 1, not {ep!r}")
 
 
 class InverseSystem:
@@ -139,11 +152,13 @@ class InverseSystem:
 
 
 class SystemMorphism:
-    """(f_mu, phi) : X -> Y, with phi from Y's indices to X's and
-    f_mu : X_{phi(mu)} -> Y_mu."""
+    """(f_mu, phi) : X -> Y, with f_mu : X_{phi(mu)} -> Y_mu.
+
+    phi is any callable from Y's indices to X's, monotone or not: a table's
+    ``__getitem__`` on a finite poset, a closed-form rule on the chain."""
 
     def __init__(self, source: InverseSystem, target: InverseSystem,
-                 phi: IndexMap, component: Callable, name: str = ""):
+                 phi: Callable, component: Callable, name: str = ""):
         self.source = source
         self.target = target
         self.phi = phi
@@ -207,9 +222,7 @@ def validate_system(x: InverseSystem, horizon: int = 8) -> list:
                 out.append(f"declared epimorphic, but p[{a!r},{b!r}] is not epi")
     if x.flags.eventually_periodic is not None:
         off, per = x.flags.eventually_periodic
-        if per < 1 or off < 0:
-            out.append("eventually_periodic flag has invalid parameters")
-        elif is_finite_index(idx):
+        if is_finite_index(idx):
             out.append("eventually_periodic flag only applies to sequences")
         else:
             for n in range(off, horizon - per):
@@ -292,7 +305,7 @@ def violations(f: SystemMorphism) -> list:
 
 
 def identity_morphism(x: InverseSystem) -> SystemMorphism:
-    return SystemMorphism(x, x, IndexMap.identity(x.index),
+    return SystemMorphism(x, x, lambda lam: lam,
                           lambda lam: identity(x.object_at(lam)),
                           name=f"1_{x.name}" if x.name else "identity")
 
@@ -302,9 +315,7 @@ def compose_morphisms(g: SystemMorphism, f: SystemMorphism) -> SystemMorphism:
     if g.source is not f.target and g.source != f.target:
         raise BackendError("composition endpoint mismatch")
     psi, phi = g.phi, f.phi
-    chi = IndexMap(g.target.index, f.source.index,
-                   rule=lambda nu: phi(psi(nu)))
-    return SystemMorphism(f.source, g.target, chi,
+    return SystemMorphism(f.source, g.target, lambda nu: phi(psi(nu)),
                           lambda nu: compose(g.f(nu), f.f(psi(nu))),
                           name=f"{g.name}o{f.name}")
 

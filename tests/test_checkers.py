@@ -26,6 +26,7 @@ from promov.checkers import (
     Horizon,
     HorizonError,
     PROPERTIES,
+    Refutation,
     c0_movable_system,
     c0_uniformly_movable_system,
     check,
@@ -45,7 +46,7 @@ from promov.families import (
     example_2_27,
     rudimentary,
 )
-from promov.indexsets import NAT, FiniteDirectedPoset, IndexMap
+from promov.indexsets import NAT, FiniteDirectedPoset
 from promov.systems import (
     InverseSystem,
     SystemMorphism,
@@ -183,7 +184,7 @@ def test_non_exact_verdicts_carry_disclaimer():
 def test_horizon_too_small_for_phi(prop):
     # phi(5) = 15 > lambda_max = 12: no probe lambda >= phi(mu) is in the box
     F, G, f = example_2_27()
-    squeezed = SystemMorphism(F, G, IndexMap(NAT, NAT, rule=lambda n: 3 * n),
+    squeezed = SystemMorphism(F, G, lambda n: 3 * n,
                               lambda n: compose(f.f(n), F.bond(n, 3 * n)))
     with pytest.raises(HorizonError, match=r"phi\(5\) = 15 exceeds lambda_max = 12"):
         check(prop, squeezed, Horizon(6, 12, 13, 13))
@@ -201,7 +202,7 @@ def test_co_search_refuses_an_empty_key_range(prop):
     # key is in the box, so no witness is checked there and the search must
     # not certify that mu
     x = constant_system(Z(4))
-    f = SystemMorphism(x, x, IndexMap(NAT, NAT, rule=lambda n: n + 3),
+    f = SystemMorphism(x, x, lambda n: n + 3,
                        lambda n: x.bond(n, n + 3))
     with pytest.raises(HorizonError, match=r"muprime_max = 6 is below phi\(mu\) = 7"):
         check(prop, f, Horizon(6, 12, 6, 13))
@@ -227,6 +228,14 @@ def test_c0_checks():
     # a movable constant sequence stays relatively movable
     c = constant_system(PointedFiniteSet(3))
     assert c0_movable_system(c, [PointedFiniteSet(2)], H).is_positive()
+    # at mu = 5 the probe 1 -> 16 : Z/256 -> G_12 survives in G_5 = Z/32,
+    # but every map Z/256 -> G_13 lands in 32 Z/2^13, which q_{5,13} kills
+    v = c0_movable_system(G, [Z(256)], H)
+    assert v.status == FAILS_AT_HORIZON
+    assert v.refutation == Refutation(5, 12, 13, "no relative movability witness")
+    v = c0_uniformly_movable_system(G, [Z(256)], H)
+    assert v.status == FAILS_AT_HORIZON
+    assert v.refutation == Refutation(5, 12, 13, "no relative cone top-leg")
 
 
 @pytest.mark.parametrize("system_check, c0_check, box", [

@@ -98,6 +98,12 @@ def test_check_exit_codes_on_family(tmp_path):
     assert code == EXIT_POSITIVE and "HoldsStabilized" in text
     code, text = run(["check", "movable", spath])
     assert code == EXIT_NEGATIVE and "FailsAtHorizon" in text
+    # the tower (Z/2^n) is not movable, but it is Mittag-Leffler
+    tpath = write(tmp_path, family_doc("target_system"), "t.json")
+    code, text = run(["check", "movable", tpath])
+    assert code == EXIT_NEGATIVE and "FailsAtHorizon" in text
+    code, text = run(["check", "mittag_leffler", tpath])
+    assert code == EXIT_POSITIVE and "HoldsStabilized" in text
     code, text = run(["check", "strongly_movable", mpath])
     assert code == EXIT_INCONCLUSIVE and "Unknown" in text
     # widening the probe box upgrades the strong check
@@ -176,6 +182,8 @@ def test_malformed_documents(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{ not json")
     code, _ = run(["validate", str(p)])
+    assert code == EXIT_PARSE
+    code, _ = run(["validate", str(tmp_path / "missing.json")])
     assert code == EXIT_PARSE
     doc = chain_doc()
     del doc["bonds"]
@@ -484,6 +492,9 @@ def test_missing_seed_means_0_and_a_number_seed_is_refused(tmp_path):
     seeded = run(["check", "movable",
                   write(tmp_path, dict(doc, seed="0"), "b.json")])
     assert unseeded == seeded and unseeded[1]
+    # a parameter the family does not read, even one named seed, is ignored
+    assert run(["check", "movable", write(
+        tmp_path, dict(doc, params={"seed": "5"}), "d.json")]) == unseeded
     code, text = run(["check", "movable",
                       write(tmp_path, dict(doc, seed=0), "c.json")])
     assert code == EXIT_PARSE and text == ""
@@ -539,6 +550,20 @@ MALFORMED = {
         {"index": {"kind": "nat"}, "family": "abelian_sequence",
          "params": {"period": "-1"}},
         "period must be at least 1, not -1"),
+    "periodicity flag has period 0": (
+        _with(flags={"eventually_periodic": ["0", "0"]}),
+        "eventually_periodic must be a tuple (offset, period) of ints, "
+        "offset >= 0 and period >= 1, not (0, 0)"),
+    "periodicity flag has one entry": (
+        _with(flags={"eventually_periodic": ["3"]}),
+        "eventually_periodic must be a tuple (offset, period) of ints, "
+        "offset >= 0 and period >= 1, not (3,)"),
+    "unknown select": (
+        dict(family_doc(), select="middle"), "unknown select value 'middle'"),
+    "example_2_27 family as a target": (
+        _with(target=family_doc(), morphism={"phi": [], "f": []}),
+        "family 'example_2_27' builds a morphism triple"),
+    "document root is a list": ([chain_doc()], "document root must be an object"),
 }
 
 

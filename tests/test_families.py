@@ -2,7 +2,6 @@
 
 from promov.categories import Z, FgAbelianObject, PointedFiniteSet
 from promov.families import (
-    FamilySpec,
     apply_forgetful,
     bounded_phi_morphism,
     build_family,
@@ -135,14 +134,16 @@ def test_cofinal_instances_valid():
 
 
 def test_build_family_dispatch():
-    triple = build_family(FamilySpec("example_2_27"))
+    triple = build_family("example_2_27")
     assert len(triple) == 3
-    c = build_family(FamilySpec("constant", (("modulus", 4),)))
+    c = build_family("constant", {"modulus": 4})
     assert c.object_at(5) == FgAbelianObject((4,))
-    s = build_family(FamilySpec("set_sequence", (("period", 2),), seed=3))
+    params = {"period": 2, "seed": 9}
+    s = build_family("set_sequence", params, seed=3)
     assert isinstance(s.object_at(0), PointedFiniteSet)
+    assert params == {"period": 2, "seed": 9}  # read, never changed
     try:
-        build_family(FamilySpec("nope"))
+        build_family("nope")
     except ValueError:
         pass
     else:

@@ -1,11 +1,10 @@
-"""Directed index sets: posets, the natural chain, index maps."""
+"""Directed index sets: posets and the natural chain."""
 
 import pytest
 
 from promov.indexsets import (
     NAT,
     FiniteDirectedPoset,
-    IndexMap,
     is_finite_index,
     validate_poset,
 )
@@ -60,18 +59,6 @@ def test_nat_index():
     assert not NAT.above(9, limit=7)
     assert not is_finite_index(NAT)
     assert is_finite_index(FiniteDirectedPoset.chain((0,)))
-
-
-def test_index_maps():
-    p = FiniteDirectedPoset.chain(("a", "b"))
-    ident = IndexMap.identity(p)
-    assert ident("a") == "a"
-    table = IndexMap.from_table(p, p, {"a": "b", "b": "b"})
-    assert table("a") == "b"
-    nat_id = IndexMap.identity(NAT)
-    assert nat_id(12) == 12
-    with pytest.raises(ValueError):
-        IndexMap(p, p)("a")  # neither table nor rule
 
 
 def test_greatest_requires_directedness():

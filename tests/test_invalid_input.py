@@ -25,7 +25,7 @@ from promov.categories import Z, abelian_scalar, identity
 from promov.checkers import FAILS, HOLDS, PROPERTIES, check
 from promov.cli import verdict_to_dict
 from promov.families import constant_poset_system, constant_system
-from promov.indexsets import NAT, FiniteDirectedPoset, IndexMap
+from promov.indexsets import FiniteDirectedPoset
 from promov.oracle import oracle_check
 from promov.systems import (
     InverseSystem,
@@ -54,8 +54,8 @@ def _z4_chain(labels, scalars) -> InverseSystem:
 def _non_coherent() -> SystemMorphism:
     x = constant_poset_system(FiniteDirectedPoset.chain(("a", "b")), Z4)
     y = _z4_chain(("a", "b"), {("a", "b"): 2})
-    return SystemMorphism(x, y, IndexMap.identity(x.index),
-                          lambda mu: identity(Z4), name="non-coherent")
+    return SystemMorphism(x, y, lambda mu: mu, lambda mu: identity(Z4),
+                          name="non-coherent")
 
 
 def _non_functorial_identity() -> SystemMorphism:
@@ -147,9 +147,9 @@ def test_mixed_index_kinds_are_refused_by_every_checker():
                              for a in "ab" for b in chain.above(a)},
                       flags=SystemFlags(eventually_periodic=(0, 1)))
     y = constant_system(Z4)
-    for f in (SystemMorphism(x, y, IndexMap(NAT, chain, rule=lambda n: "b"),
+    for f in (SystemMorphism(x, y, lambda n: "b",
                              lambda n: identity(Z4)),
-              SystemMorphism(y, x, IndexMap(chain, NAT, rule=lambda a: 0),
+              SystemMorphism(y, x, lambda a: 0,
                              lambda a: identity(Z4))):
         for prop in PROPERTIES:
             with pytest.raises(ValueError, match="index kinds differ"):

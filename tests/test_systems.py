@@ -24,7 +24,7 @@ from promov.families import (
     random_set_sequence,
     rudimentary,
 )
-from promov.indexsets import NAT, FiniteDirectedPoset, IndexMap
+from promov.indexsets import NAT, FiniteDirectedPoset
 from promov.systems import (
     InverseSystem,
     SystemFlags,
@@ -90,6 +90,15 @@ def test_flag_spot_checks():
     assert any("periodic" in v for v in validate_system(x))
 
 
+def test_a_malformed_periodicity_flag_is_refused():
+    # (Z, x2) is not Mittag-Leffler, but a (0, 0) or negative-offset flag on
+    # it let the eventual-periodicity rule certify it at every mu
+    for flag in [(0, 0), (-1, 1), (3,), (0, 1, 2), ("0", "1"), (True, 1), [0, 1]]:
+        with pytest.raises(ValueError, match="eventually_periodic must be"):
+            SystemFlags(eventually_periodic=flag)
+    assert SystemFlags(eventually_periodic=(2, 1)).eventually_periodic == (2, 1)
+
+
 def test_step_with_wrong_endpoints_is_named():
     # the step bond is handed out as built, so validation sees its endpoints
     x = InverseSystem(NAT, object_rule=lambda n: Z(4),
@@ -104,7 +113,7 @@ def test_coherence_validation():
     # identity bonds
     c = constant_system(Z(2))
     bad = SystemMorphism(
-        c, c, IndexMap.identity(NAT),
+        c, c, lambda n: n,
         lambda n: identity(Z(2)) if n != 3 else abelian_scalar(Z(2), 0))
     assert any("coherence" in v for v in validate_morphism(bad))
 
@@ -144,9 +153,9 @@ def test_composition_formula():
     assert h.phi(4) == 4
     assert morphisms_equal(h.f(4), f.f(4))
     # composing bond restrictions adds the shifts
-    shift1 = SystemMorphism(F, F, IndexMap(NAT, NAT, rule=lambda n: n + 1),
+    shift1 = SystemMorphism(F, F, lambda n: n + 1,
                             lambda n: F.bond(n, n + 1))
-    shift2 = SystemMorphism(F, F, IndexMap(NAT, NAT, rule=lambda n: n + 2),
+    shift2 = SystemMorphism(F, F, lambda n: n + 2,
                             lambda n: F.bond(n, n + 2))
     comp = compose_morphisms(shift2, shift1)
     assert comp.phi(0) == 3
@@ -164,12 +173,12 @@ def test_equivalence():
     assert are_equivalent(f, f)
     # pushing phi up along bonds stays equivalent
     pushed = SystemMorphism(
-        F, G, IndexMap(NAT, NAT, rule=lambda n: n + 2),
+        F, G, lambda n: n + 2,
         lambda n: compose(f.f(n), F.bond(n, n + 2)))
     assert are_equivalent(f, pushed)
     # the zero morphism is not equivalent to the identity on a constant system
     c = constant_system(Z(2))
-    zero = SystemMorphism(c, c, IndexMap.identity(NAT),
+    zero = SystemMorphism(c, c, lambda n: n,
                           lambda n: abelian_scalar(Z(2), 0))
     assert not are_equivalent(identity_morphism(c), zero)
 

@@ -42,7 +42,6 @@ from promov.families import (
     random_set_sequence,
     retraction_with_section,
 )
-from promov.indexsets import NAT, IndexMap
 from promov.oracle import oracle_check
 from promov.systems import (
     SystemMorphism,
@@ -97,16 +96,16 @@ def _endomorphism_pair(seed):
          else random_set_sequence(rng.randrange(1 << 30)))
     out = [identity_morphism(x)]
     s = rng.randrange(1, 3)
-    out.append(SystemMorphism(x, x, IndexMap(NAT, NAT, rule=lambda n, s=s: n + s),
+    out.append(SystemMorphism(x, x, lambda n, s=s: n + s,
                               lambda n, s=s: x.bond(n, n + s), name="bond"))
     if backend == "abelian":
         c = rng.randrange(0, 4)
         out.append(SystemMorphism(
-            x, x, IndexMap.identity(NAT),
+            x, x, lambda n: n,
             lambda n, c=c: cat.abelian_scalar(x.object_at(n), c), name="sc"))
     else:
         out.append(SystemMorphism(
-            x, x, IndexMap.identity(NAT),
+            x, x, lambda n: n,
             lambda n: cat.pointed_constant(x.object_at(n), x.object_at(n)),
             name="const"))
     return out[rng.randrange(len(out))], out[rng.randrange(len(out))]
