@@ -8,6 +8,12 @@ steps times free unknowns, with the steps of Hom(+Z/d_j, +Z/e_i) that
 ``enumerate_homs`` also walks, so the congruence system it hands to Smith
 normal form holds only the equation's rows.  For pointed sets u sends each
 element to the least L-preimage of its R-image.
+
+Each backend has one identity (:func:`identity`), one zero morphism
+(:func:`zero`, the basepoint-constant map on pointed sets) and one zero test
+(:func:`is_zero_morphism`).  An image is its canonical presentation
+(:func:`image_subobject`), a tuple compared with ``==`` inside one ambient
+object.
 """
 
 from __future__ import annotations
@@ -53,9 +59,6 @@ class FgAbelianObject:
             raise BackendError("object is infinite")
         return prod(self.factors) if self.factors else 1
 
-    def is_trivial(self) -> bool:
-        return all(d == 1 for d in self.factors)
-
 
 def Z(n: int = 0) -> FgAbelianObject:
     """Shorthand: Z(0) is the integers, Z(n) the cyclic group of order n."""
@@ -89,17 +92,6 @@ class FgAbelianMorphism:
                 v % e if e else v
                 for i, e in enumerate(tf) for v in ent[i * c:(i + 1) * c])))
 
-    def is_zero(self) -> bool:
-        return not any(self.matrix.entries)
-
-
-def abelian_identity(obj: FgAbelianObject) -> FgAbelianMorphism:
-    return FgAbelianMorphism(obj, obj, IntMatrix.identity(obj.rank))
-
-
-def abelian_zero(source: FgAbelianObject, target: FgAbelianObject) -> FgAbelianMorphism:
-    return FgAbelianMorphism(source, target, IntMatrix.zero(target.rank, source.rank))
-
 
 def abelian_scalar(obj: FgAbelianObject, c: int) -> FgAbelianMorphism:
     """Multiplication by c on every summand."""
@@ -122,9 +114,6 @@ class PointedFiniteSet:
         if self.size < 1:
             raise ValueError("a pointed set has at least the basepoint")
 
-    def is_trivial(self) -> bool:
-        return self.size == 1
-
 
 @dataclass(frozen=True, slots=True)
 class PointedMap:
@@ -140,17 +129,6 @@ class PointedMap:
         if any(not (0 <= v < self.target.size) for v in self.images):
             raise BackendError("image out of range")
 
-    def is_constant(self) -> bool:
-        return all(v == 0 for v in self.images)
-
-
-def pointed_identity(obj: PointedFiniteSet) -> PointedMap:
-    return PointedMap(obj, obj, tuple(range(obj.size)))
-
-
-def pointed_constant(source: PointedFiniteSet, target: PointedFiniteSet) -> PointedMap:
-    return PointedMap(source, target, (0,) * source.size)
-
 
 Object = Union[FgAbelianObject, PointedFiniteSet]
 Morphism = Union[FgAbelianMorphism, PointedMap]
@@ -162,22 +140,23 @@ Morphism = Union[FgAbelianMorphism, PointedMap]
 
 def identity(obj: Object) -> Morphism:
     if isinstance(obj, FgAbelianObject):
-        return abelian_identity(obj)
-    return pointed_identity(obj)
+        return FgAbelianMorphism(obj, obj, IntMatrix.identity(obj.rank))
+    return PointedMap(obj, obj, tuple(range(obj.size)))
 
 
 def zero(source: Object, target: Object) -> Morphism:
     """Zero map (abelian) or basepoint-constant map (pointed sets)."""
     if isinstance(source, FgAbelianObject):
-        return abelian_zero(source, target)
-    return pointed_constant(source, target)
+        return FgAbelianMorphism(source, target,
+                                 IntMatrix.zero(target.rank, source.rank))
+    return PointedMap(source, target, (0,) * source.size)
 
 
 def is_zero_morphism(f: Morphism) -> bool:
     """Zero map (abelian) or basepoint-constant map (pointed sets)."""
     if isinstance(f, FgAbelianMorphism):
-        return f.is_zero()
-    return f.is_constant()
+        return not any(f.matrix.entries)
+    return not any(f.images)
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
@@ -214,7 +193,8 @@ def morphisms_equal(f: Morphism, g: Morphism) -> bool:
 def is_epimorphism(f: Morphism) -> bool:
     if isinstance(f, PointedMap):
         return set(f.images) == set(range(f.target.size))
-    return subobjects_equal(image_subobject(f), full_subobject(f.target))
+    units = IntMatrix.identity(f.target.rank).to_rows()
+    return image_subobject(f) == _span(f.target, units)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +261,7 @@ def _solve_abelian(p: FactorizationProblem) -> Optional[FgAbelianMorphism]:
             mods.append(w)
 
     if not rhs:
-        return abelian_zero(S, T)
+        return zero(S, T)
     y = solve_congruence_system(IntMatrix(len(rhs), len(steps), tuple(flat)),
                                 rhs, mods)
     if y is None:
@@ -301,25 +281,10 @@ def _solve_pointed(p: FactorizationProblem) -> Optional[PointedMap]:
 
 
 # ---------------------------------------------------------------------------
-# images and subobjects
-
-
-@dataclass(frozen=True)
-class Subobject:
-    """Canonically presented subobject of an ambient backend object.
-
-    Abelian: the column Hermite normal form of the image lattice joined with
-    the ambient relations.  Pointed sets: the sorted element list.
-    """
-
-    ambient: Object
-    presentation: tuple
-
-    def is_trivial(self) -> bool:
-        if isinstance(self.ambient, PointedFiniteSet):
-            return self.presentation == (0,)
-        # trivial iff the lattice equals the relation lattice of the ambient
-        return self == trivial_subobject(self.ambient)
+# images: a subobject is its canonical presentation, a tuple that two
+# subobjects of one ambient object share exactly when they are equal.
+# Abelian: the column Hermite form of the generators joined with the
+# ambient relations.  Pointed sets: the sorted element list.
 
 
 def _column_hnf(generators: list, dim: int) -> tuple:
@@ -356,39 +321,27 @@ def _column_hnf(generators: list, dim: int) -> tuple:
     return tuple(tuple(r) for r in rows[:pivot_row])
 
 
-def _span(ambient: Object, generators) -> Subobject:
-    """The subobject generated by the given elements (pointed sets) or
-    column vectors (abelian), joined with the basepoint or with the ambient
-    relations so that equal subobjects present equally."""
+def _span(ambient: Object, generators) -> tuple:
+    """The presentation of the subobject generated by the given elements
+    (pointed sets) or column vectors (abelian), joined with the basepoint or
+    with the ambient relations so that equal subobjects present equally."""
     if isinstance(ambient, PointedFiniteSet):
-        return Subobject(ambient, tuple(sorted(set(generators) | {0})))
+        return tuple(sorted(set(generators) | {0}))
     relations = [[e if j == i else 0 for j in range(ambient.rank)]
                  for i, e in enumerate(ambient.factors) if e != 0]
-    return Subobject(ambient, _column_hnf(list(generators) + relations,
-                                          ambient.rank))
+    return _column_hnf(list(generators) + relations, ambient.rank)
 
 
-def image_subobject(f: Morphism) -> Subobject:
+def image_subobject(f: Morphism) -> tuple:
+    """The presentation of f's image in f.target."""
     if isinstance(f, PointedMap):
         return _span(f.target, f.images)
     return _span(f.target, [list(f.matrix.col(j)) for j in range(f.matrix.cols)])
 
 
-def trivial_subobject(ambient: Object) -> Subobject:
+def trivial_subobject(ambient: Object) -> tuple:
+    """The presentation of the zero subobject (the basepoint) of ambient."""
     return _span(ambient, [])
-
-
-def full_subobject(ambient: Object) -> Subobject:
-    if isinstance(ambient, PointedFiniteSet):
-        return _span(ambient, range(ambient.size))
-    return _span(ambient, [[1 if i == j else 0 for i in range(ambient.rank)]
-                           for j in range(ambient.rank)])
-
-
-def subobjects_equal(s1: Subobject, s2: Subobject) -> bool:
-    if s1.ambient != s2.ambient:
-        raise BackendError("subobjects live in different ambient objects")
-    return s1.presentation == s2.presentation
 
 
 # ---------------------------------------------------------------------------

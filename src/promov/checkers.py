@@ -387,49 +387,46 @@ def mittag_leffler(f: SystemMorphism, h: Horizon = Horizon()) -> Verdict:
             # exact: the first lam whose image equals every deeper one; the
             # greatest element always is such a lam
             lam, img = next((lam, img) for lam, img in chain if all(
-                cat.subobjects_equal(img, i)
-                for l2, i in chain if x.index.leq(lam, l2)))
+                img == i for l2, i in chain if x.index.leq(lam, l2)))
             per_mu.append((HOLDS_AT_HORIZON, WitnessRecord(
-                mu, lam, None, extra={"image": img.presentation})))
+                mu, lam, None, extra={"image": img})))
             continue
         # stabilization rules, strongest first
         rec = None
+        trivial = cat.trivial_subobject(y.object_at(mu))
         for lam, img in chain:
-            if img.is_trivial():
+            if img == trivial:
                 # a descending chain through the basepoint stays trivial
-                rec = WitnessRecord(mu, lam, "zero-image",
-                                    extra={"image": img.presentation})
+                rec = WitnessRecord(mu, lam, "zero-image", extra={"image": img})
                 break
         if rec is None and x.flags.all_bondings_epimorphic:
             # f_{mu lambda} = f_mu o p_{phi(mu) lambda} with p epi: the image
             # equals image(f_mu) at every stage
             lam0, img0 = chain[0]
-            if all(cat.subobjects_equal(img0, i) for _, i in chain):
+            if all(img0 == i for _, i in chain):
                 rec = WitnessRecord(mu, lam0, "epimorphic-bondings",
-                                    extra={"image": img0.presentation})
+                                    extra={"image": img0})
         if rec is None and x.flags.eventually_periodic is not None:
             off, per = x.flags.eventually_periodic
-            for t, (lam, img) in enumerate(chain):
+            for lam, img in chain:
                 if lam < off or lam + per > chain[-1][0]:
                     continue
                 window = [i for l2, i in chain if lam <= l2 <= lam + per]
-                if all(cat.subobjects_equal(img, i) for i in window):
+                if all(img == i for i in window):
                     rec = WitnessRecord(mu, lam, "eventual-periodicity",
-                                        extra={"image": img.presentation})
+                                        extra={"image": img})
                     break
         if rec is not None:
             per_mu.append((HOLDS_STABILIZED, rec))
-        elif len(chain) >= 2 and cat.subobjects_equal(chain[-2][1], chain[-1][1]):
+        elif len(chain) >= 2 and chain[-2][1] == chain[-1][1]:
             per_mu.append((HOLDS_AT_HORIZON, WitnessRecord(
-                mu, chain[-1][0], None,
-                extra={"image": chain[-1][1].presentation})))
+                mu, chain[-1][0], None, extra={"image": chain[-1][1]})))
         else:
             notes.append(
                 f"mu={mu}: image chain still strictly decreasing at the "
-                f"horizon: {[p.presentation for _, p in chain]}")
+                f"horizon: {[p for _, p in chain]}")
             per_mu.append((UNKNOWN, WitnessRecord(
-                mu, None, None,
-                extra={"chain": tuple(p.presentation for _, p in chain)})))
+                mu, None, None, extra={"chain": tuple(p for _, p in chain)})))
     return _assemble("mittag_leffler", per_mu, h, finite, notes=notes)
 
 

@@ -218,12 +218,15 @@ def system_from_dict(doc: dict, seed_override=None) -> InverseSystem:
 
 
 def _flags_from_dict(d: dict) -> SystemFlags:
-    ep = d.get("eventually_periodic")
-    if ep:
-        ep = tuple(_dec_int(x) for x in _field(d, "eventually_periodic", list))
-    return SystemFlags(
-        all_bondings_epimorphic=bool(d.get("all_bondings_epimorphic", False)),
-        eventually_periodic=ep or None)
+    """An absent or null flag is no flag; all_bondings_epimorphic is a JSON
+    boolean and eventually_periodic a list, which SystemFlags checks."""
+    epi, ep = d.get("all_bondings_epimorphic"), d.get("eventually_periodic")
+    if epi is not None and type(epi) is not bool:
+        raise DocumentError("'all_bondings_epimorphic' must be true or false, "
+                            f"not {epi!r}")
+    if ep is not None:
+        ep = tuple(_dec_int(x) for x in _typed(ep, list, "'eventually_periodic'"))
+    return SystemFlags(all_bondings_epimorphic=bool(epi), eventually_periodic=ep)
 
 
 def morphism_from_doc(doc: dict, seed_override=None) -> SystemMorphism:

@@ -124,42 +124,28 @@ def _random_hom(rng: random.Random, a, b):
     return homs[rng.randrange(len(homs))]
 
 
-def _cover_paths(poset: FiniteDirectedPoset, covers):
-    """For each comparable pair (lo, hi), one canonical cover path hi -> lo."""
-    succ = {}
-    for lo, hi in covers:
-        succ.setdefault(hi, []).append(lo)
-    paths = {}
-    for a in poset.members():
-        paths[(a, a)] = []
-    changed = True
-    while changed:
-        changed = False
-        for (lo, hi), path in list(paths.items()):
-            for lo2 in succ.get(lo, []):
-                if (lo2, hi) not in paths:
-                    paths[(lo2, hi)] = path + [(lo2, lo)]
-                    changed = True
-    return paths
-
-
 def random_finite_system(rng: random.Random, backend: str,
                          shape=None) -> InverseSystem:
-    """Random system over a diamond-free poset shape: objects and cover bonds
-    are drawn freely, composite bonds are composed along cover paths (well
-    defined because the shapes have unique cover paths)."""
+    """Random system over a poset shape in which every element below the top
+    has one upper cover: objects and cover bonds are drawn freely, and each
+    composite bond is composed once, walking up from its low end."""
     name, labels, covers = shape if shape else rng.choice(_POSET_SHAPES)
     poset = FiniteDirectedPoset.from_pairs(labels, covers)
-    objects = {lam: _random_object(rng, backend) for lam in labels}
-    bonds = {}
+    up = {}
     for lo, hi in covers:
-        bonds[(lo, hi)] = _random_hom(rng, objects[hi], objects[lo])
+        if up.setdefault(lo, hi) != hi:
+            raise ValueError(f"{lo!r} has two upper covers in shape {name!r}")
+    objects = {lam: _random_object(rng, backend) for lam in labels}
+    bonds = {(lo, hi): _random_hom(rng, objects[hi], objects[lo])
+             for lo, hi in covers}
     full = {}
-    for (lo, hi), path in _cover_paths(poset, covers).items():
-        m = identity(objects[hi])
-        for step in path:  # stored top-down: first edge leaves hi
-            m = compose(bonds[step], m)
-        full[(lo, hi)] = m
+    for lo in labels:
+        hi, m = lo, identity(objects[lo])
+        full[(lo, lo)] = m
+        while hi in up:
+            m = compose(m, bonds[(hi, up[hi])])
+            hi = up[hi]
+            full[(lo, hi)] = m
     return InverseSystem(poset, objects=objects, bonds=full,
                          name=f"random-{name}")
 
@@ -245,6 +231,8 @@ def _random_periodic(rng: random.Random, period: int, draw_object,
 def random_set_sequence(seed: int, period: int = 2,
                         max_size: int = 4) -> InverseSystem:
     """Eventually periodic pointed-set sequence with the periodicity flag."""
+    if max_size < 1:
+        raise ValueError(f"max_size must be at least 1, not {max_size}")
     rng = random.Random(seed)
     return _random_periodic(
         rng, period, lambda: PointedFiniteSet(rng.randrange(1, max_size + 1)),
@@ -284,7 +272,7 @@ def random_sequence_morphism(seed: int, backend: str = "abelian") -> SystemMorph
     else:
         choices.append(SystemMorphism(
             x, x, _same,
-            lambda n: cat.pointed_constant(x.object_at(n), x.object_at(n)),
+            lambda n: cat.zero(x.object_at(n), x.object_at(n)),
             name="constant"))
     f = choices[rng.randrange(len(choices))]
     if rng.random() < 0.4:

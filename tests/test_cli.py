@@ -410,6 +410,15 @@ def test_write_json_matches_json_dumps_on_shared_subtrees():
     ])
 
 
+def test_write_json_matches_json_dumps_on_non_str_keys():
+    # json.dumps turns int keys into strings; _write_json hands such a dict
+    # to json.dumps itself, re-indented to where it sits
+    assert_writes_like_json_dumps(_write_json, [
+        {2: "x", 1: ["y", None]},
+        [{"k": {3: True, 1: {"deeper": [1, 2]}}}],
+    ])
+
+
 def test_verdict_to_dict_builds_each_distinct_witness_once(monkeypatch):
     calls = []
     to_dict = cli.morphism_to_dict
@@ -531,6 +540,25 @@ MALFORMED = {
     "periodicity flag is a string": (
         _with(flags={"eventually_periodic": "12"}),
         "'eventually_periodic' must be a list"),
+    "periodicity flag is 0": (
+        _with(flags={"eventually_periodic": 0}),
+        "'eventually_periodic' must be a list, not int"),
+    "periodicity flag is false": (
+        _with(flags={"eventually_periodic": False}),
+        "'eventually_periodic' must be a list, not bool"),
+    "periodicity flag is empty string": (
+        _with(flags={"eventually_periodic": ""}),
+        "'eventually_periodic' must be a list, not str"),
+    "periodicity flag is empty list": (
+        _with(flags={"eventually_periodic": []}),
+        "eventually_periodic must be a tuple (offset, period) of ints, "
+        "offset >= 0 and period >= 1, not ()"),
+    "epimorphic flag is a string": (
+        _with(flags={"all_bondings_epimorphic": "false"}),
+        "'all_bondings_epimorphic' must be true or false, not 'false'"),
+    "epimorphic flag is 0": (
+        _with(flags={"all_bondings_epimorphic": 0}),
+        "'all_bondings_epimorphic' must be true or false, not 0"),
     "index element is a list": (
         _with(index={"kind": "finite", "elements": [["a"], "b"], "pairs": []}),
         "an entry of 'elements' must be a string or a number, not list"),
@@ -550,6 +578,10 @@ MALFORMED = {
         {"index": {"kind": "nat"}, "family": "abelian_sequence",
          "params": {"period": "-1"}},
         "period must be at least 1, not -1"),
+    "set sequence max_size is 0": (
+        {"index": {"kind": "nat"}, "family": "set_sequence",
+         "params": {"max_size": "0"}},
+        "max_size must be at least 1, not 0"),
     "periodicity flag has period 0": (
         _with(flags={"eventually_periodic": ["0", "0"]}),
         "eventually_periodic must be a tuple (offset, period) of ints, "

@@ -1,5 +1,10 @@
 """Instance families: determinism and validity of the generated corpora."""
 
+import random
+
+import pytest
+
+from promov import families
 from promov.categories import Z, FgAbelianObject, PointedFiniteSet
 from promov.families import (
     apply_forgetful,
@@ -12,6 +17,7 @@ from promov.families import (
     finite_instance_corpus,
     perturb_equivalent,
     random_abelian_sequence,
+    random_finite_system,
     random_set_sequence,
     random_sequence_morphism,
     retraction_with_section,
@@ -148,6 +154,26 @@ def test_build_family_dispatch():
         pass
     else:
         raise AssertionError("unknown family must be rejected")
+
+
+def test_each_composite_bond_is_composed_once(monkeypatch):
+    composes = []
+    real = families.compose
+    monkeypatch.setattr(families, "compose",
+                        lambda g, f: composes.append(1) or real(g, f))
+    chain5 = next(s for s in families._POSET_SHAPES if s[0] == "chain5")
+    x = random_finite_system(random.Random(4), "abelian", shape=chain5)
+    assert len(composes) == 10  # one per pair lo < hi of a 5-chain
+    assert validate_system(x) == []
+
+
+def test_a_shape_with_two_upper_covers_is_refused():
+    # composites are walked up one upper cover at a time, so a diamond, in
+    # which a has two, is refused rather than built along one path
+    diamond = ("diamond", ("a", "b", "c", "d"),
+               (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")))
+    with pytest.raises(ValueError, match="'a' has two upper covers"):
+        random_finite_system(random.Random(0), "abelian", shape=diamond)
 
 
 def test_rudimentary_and_constant_shapes():

@@ -201,6 +201,12 @@ def test_det_matches_bareiss_cofactor():
         assert a.det() == cof
 
 
+def test_det_of_empty_and_of_a_zero_pivot_column():
+    assert IntMatrix(0, 0, ()).det() == 1
+    # no row can supply a pivot for column 0, so the determinant is 0
+    assert IntMatrix.from_rows([[0, 1, 2], [0, 3, 4], [0, 5, 7]]).det() == 0
+
+
 def _snf_digest_corpus():
     """Seeded matrices covering the shapes and entry mixes snf meets: empty
     shapes, sparse blocks, many unit entries (early pivots), wide ranges, and

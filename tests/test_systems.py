@@ -13,6 +13,7 @@ from promov.categories import (
     is_zero_morphism,
     morphisms_equal,
     identity,
+    zero,
 )
 from promov import systems
 from promov.families import (
@@ -88,6 +89,11 @@ def test_flag_spot_checks():
                       step_rule=lambda n: abelian_scalar(Z(4), n % 3),
                       flags=SystemFlags(eventually_periodic=(0, 2)))
     assert any("periodic" in v for v in validate_system(x))
+    # a declared-periodic system whose objects differ is flagged
+    x = InverseSystem(NAT, object_rule=lambda n: Z(n + 1),
+                      step_rule=lambda n: zero(Z(n + 2), Z(n + 1)),
+                      flags=SystemFlags(eventually_periodic=(0, 1)))
+    assert "declared periodic, but objects differ at 0 vs 1" in validate_system(x)
 
 
 def test_a_malformed_periodicity_flag_is_refused():

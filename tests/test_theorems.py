@@ -106,7 +106,7 @@ def _endomorphism_pair(seed):
     else:
         out.append(SystemMorphism(
             x, x, lambda n: n,
-            lambda n: cat.pointed_constant(x.object_at(n), x.object_at(n)),
+            lambda n: cat.zero(x.object_at(n), x.object_at(n)),
             name="const"))
     return out[rng.randrange(len(out))], out[rng.randrange(len(out))]
 
