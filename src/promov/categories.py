@@ -14,11 +14,29 @@ Each backend has one identity (:func:`identity`), one zero morphism
 (:func:`is_zero_morphism`).  An image is its canonical presentation
 (:func:`image_subobject`), a tuple compared with ``==`` inside one ambient
 object.
+
+:func:`compose` can answer from a value memo that lives for one check:
+:func:`value_memo` opens it, and the checkers open one for each check on
+sequence input, never on a finite poset.  It keys the pair (g, f) by value.
+That is sound because compose is a function of its arguments' values, and
+because every morphism is stored canonically (an abelian matrix is
+determined by the homomorphism), equal pairs are the same homomorphisms and
+compose to equal values.  It pays on sequences, where bonds, restrictions
+and strong composites repeat by value from key to key: on the benchmark at
+seed 100, 96% of the compose calls of a check on the constant transfer
+systems and 88% on the random sequence corpus repeat a pair already composed
+in that check, and only about 1% repeat the same objects.  On the finite
+corpus, once its restriction tables are filled, 6% do; there a miss, which
+hashes the pair twice, costs about as much as a pointed compose (3.5 us
+against 3.4 us), so finite posets get no memo.  Outside a scope compose
+keeps nothing.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from math import gcd, prod
 from operator import mul
@@ -159,8 +177,39 @@ def is_zero_morphism(f: Morphism) -> bool:
     return not any(f.images)
 
 
+# (g, f) -> g o f while a value_memo scope is open, else None
+_memo: ContextVar = ContextVar("compose_memo", default=None)
+
+
+@contextmanager
+def value_memo() -> Iterator[dict]:
+    """A scope in which compose answers a pair equal by value to one it
+    already composed with the very same morphism; yields the memo.  The
+    memo is dropped when the scope ends, also by an exception."""
+    memo = {}
+    token = _memo.set(memo)
+    try:
+        yield memo
+    finally:
+        _memo.reset(token)
+
+
 def compose(g: Morphism, f: Morphism) -> Morphism:
-    """g after f."""
+    """g after f.  Inside a value_memo scope a pair equal by value to one
+    already composed there gets back the same morphism; outside one nothing
+    is kept.  A mismatched pair is refused inside a scope as outside one,
+    and never stored."""
+    memo = _memo.get()
+    if memo is None:
+        return _compose(g, f)
+    key = (g, f)
+    h = memo.get(key)
+    if h is None:
+        h = memo[key] = _compose(g, f)
+    return h
+
+
+def _compose(g: Morphism, f: Morphism) -> Morphism:
     if type(g) is not type(f):
         raise BackendError("cannot compose across backends")
     if g.source != f.target:

@@ -33,6 +33,7 @@ side and a kind:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cache, partial
 from typing import Optional
@@ -201,6 +202,14 @@ def _admit(f: SystemMorphism, h: Horizon) -> bool:
     return finite
 
 
+def _compose_memo(finite: bool):
+    """The scope of one check: a categories.value_memo on sequence input,
+    where bonds, restrictions and strong composites repeat by value from key
+    to key; none on a finite poset, where too few compose calls repeat a
+    pair to pay for hashing it (see the categories module docstring)."""
+    return nullcontext() if finite else cat.value_memo()
+
+
 def _assemble(prop: str, per_mu: list, h: Horizon, finite: bool,
               notes=()) -> Verdict:
     """The verdict of the worst (status, record) in per_mu by _RANK.  On a
@@ -234,8 +243,9 @@ _UNIFORM = "uniform"
 def _search(prop: str, f: SystemMorphism, h: Horizon, co: bool, kind: str) -> Verdict:
     finite = _admit(f, h)
     solve = cache(_solve)
-    per_mu = [_search_mu(f, mu, h, co, kind, finite, solve)
-              for mu in f.target.index.above(limit=h.mu_max)]
+    with _compose_memo(finite):
+        per_mu = [_search_mu(f, mu, h, co, kind, finite, solve)
+                  for mu in f.target.index.above(limit=h.mu_max)]
     return _assemble(prop, per_mu, h, finite)
 
 
@@ -380,53 +390,54 @@ def mittag_leffler(f: SystemMorphism, h: Horizon = Horizon()) -> Verdict:
     finite = _admit(f, h)
     per_mu = []
     notes = []
-    for mu in y.index.above(limit=h.mu_max):
-        chain = [(lam, cat.image_subobject(restrict(f, mu, lam)))
-                 for lam in x.index.above(f.phi(mu), limit=h.lambda_max)]
-        if finite:
-            # exact: the first lam whose image equals every deeper one; the
-            # greatest element always is such a lam
-            lam, img = next((lam, img) for lam, img in chain if all(
-                img == i for l2, i in chain if x.index.leq(lam, l2)))
-            per_mu.append((HOLDS_AT_HORIZON, WitnessRecord(
-                mu, lam, None, extra={"image": img})))
-            continue
-        # stabilization rules, strongest first
-        rec = None
-        trivial = cat.trivial_subobject(y.object_at(mu))
-        for lam, img in chain:
-            if img == trivial:
-                # a descending chain through the basepoint stays trivial
-                rec = WitnessRecord(mu, lam, "zero-image", extra={"image": img})
-                break
-        if rec is None and x.flags.all_bondings_epimorphic:
-            # f_{mu lambda} = f_mu o p_{phi(mu) lambda} with p epi: the image
-            # equals image(f_mu) at every stage
-            lam0, img0 = chain[0]
-            if all(img0 == i for _, i in chain):
-                rec = WitnessRecord(mu, lam0, "epimorphic-bondings",
-                                    extra={"image": img0})
-        if rec is None and x.flags.eventually_periodic is not None:
-            off, per = x.flags.eventually_periodic
+    with _compose_memo(finite):
+        for mu in y.index.above(limit=h.mu_max):
+            chain = [(lam, cat.image_subobject(restrict(f, mu, lam)))
+                     for lam in x.index.above(f.phi(mu), limit=h.lambda_max)]
+            if finite:
+                # exact: the first lam whose image equals every deeper one; the
+                # greatest element always is such a lam
+                lam, img = next((lam, img) for lam, img in chain if all(
+                    img == i for l2, i in chain if x.index.leq(lam, l2)))
+                per_mu.append((HOLDS_AT_HORIZON, WitnessRecord(
+                    mu, lam, None, extra={"image": img})))
+                continue
+            # stabilization rules, strongest first
+            rec = None
+            trivial = cat.trivial_subobject(y.object_at(mu))
             for lam, img in chain:
-                if lam < off or lam + per > chain[-1][0]:
-                    continue
-                window = [i for l2, i in chain if lam <= l2 <= lam + per]
-                if all(img == i for i in window):
-                    rec = WitnessRecord(mu, lam, "eventual-periodicity",
-                                        extra={"image": img})
+                if img == trivial:
+                    # a descending chain through the basepoint stays trivial
+                    rec = WitnessRecord(mu, lam, "zero-image", extra={"image": img})
                     break
-        if rec is not None:
-            per_mu.append((HOLDS_STABILIZED, rec))
-        elif len(chain) >= 2 and chain[-2][1] == chain[-1][1]:
-            per_mu.append((HOLDS_AT_HORIZON, WitnessRecord(
-                mu, chain[-1][0], None, extra={"image": chain[-1][1]})))
-        else:
-            notes.append(
-                f"mu={mu}: image chain still strictly decreasing at the "
-                f"horizon: {[p for _, p in chain]}")
-            per_mu.append((UNKNOWN, WitnessRecord(
-                mu, None, None, extra={"chain": tuple(p for _, p in chain)})))
+            if rec is None and x.flags.all_bondings_epimorphic:
+                # f_{mu lambda} = f_mu o p_{phi(mu) lambda} with p epi: the image
+                # equals image(f_mu) at every stage
+                lam0, img0 = chain[0]
+                if all(img0 == i for _, i in chain):
+                    rec = WitnessRecord(mu, lam0, "epimorphic-bondings",
+                                        extra={"image": img0})
+            if rec is None and x.flags.eventually_periodic is not None:
+                off, per = x.flags.eventually_periodic
+                for lam, img in chain:
+                    if lam < off or lam + per > chain[-1][0]:
+                        continue
+                    window = [i for l2, i in chain if lam <= l2 <= lam + per]
+                    if all(img == i for i in window):
+                        rec = WitnessRecord(mu, lam, "eventual-periodicity",
+                                            extra={"image": img})
+                        break
+            if rec is not None:
+                per_mu.append((HOLDS_STABILIZED, rec))
+            elif len(chain) >= 2 and chain[-2][1] == chain[-1][1]:
+                per_mu.append((HOLDS_AT_HORIZON, WitnessRecord(
+                    mu, chain[-1][0], None, extra={"image": chain[-1][1]})))
+            else:
+                notes.append(
+                    f"mu={mu}: image chain still strictly decreasing at the "
+                    f"horizon: {[p for _, p in chain]}")
+                per_mu.append((UNKNOWN, WitnessRecord(
+                    mu, None, None, extra={"chain": tuple(p for _, p in chain)})))
     return _assemble("mittag_leffler", per_mu, h, finite, notes=notes)
 
 
@@ -479,29 +490,30 @@ def _c0_search(prop: str, x: InverseSystem, c0_objects, h: Horizon,
         return _assemble(prop, [], h, finite, notes=["vacuous: empty probe class"])
     solve = cache(_solve)
     per_mu = []
-    for mu in x.index.above(limit=h.mu_max):
-        probe = x.top(h.lambda_max)
-        keys, limit, extra = _keys(x, mu, h, uniform, "mu")
-        rec = WitnessRecord(mu, probe, None, extra=extra)
-        q_probe = x.bond(mu, probe)
-        reason = ("no relative cone top-leg" if uniform
-                  else "no relative movability witness")
-        # the first unsolvable (key, x0, hm), in that order, refutes mu
-        failed = next((Refutation(mu, probe, k, reason)
-                       for k in keys for x0 in c0_objects
-                       for hm in cat.enumerate_homs(x0, x.object_at(probe))
-                       if solve(x.bond(mu, k), compose(q_probe, hm)) is None),
-                      None)
-        if failed is not None:
-            per_mu.append((FAILS_AT_HORIZON, failed))
-        elif not finite and is_zero_morphism(q_probe):
-            rec.rule = "zero-map"
-            per_mu.append((HOLDS_STABILIZED, rec))
-        elif _periodic_covered(x, limit):
-            rec.rule = "eventual-periodicity"
-            per_mu.append((HOLDS_STABILIZED, rec))
-        else:
-            per_mu.append((HOLDS_AT_HORIZON, rec))
+    with _compose_memo(finite):
+        for mu in x.index.above(limit=h.mu_max):
+            probe = x.top(h.lambda_max)
+            keys, limit, extra = _keys(x, mu, h, uniform, "mu")
+            rec = WitnessRecord(mu, probe, None, extra=extra)
+            q_probe = x.bond(mu, probe)
+            reason = ("no relative cone top-leg" if uniform
+                      else "no relative movability witness")
+            # the first unsolvable (key, x0, hm), in that order, refutes mu
+            failed = next((Refutation(mu, probe, k, reason)
+                           for k in keys for x0 in c0_objects
+                           for hm in cat.enumerate_homs(x0, x.object_at(probe))
+                           if solve(x.bond(mu, k), compose(q_probe, hm)) is None),
+                          None)
+            if failed is not None:
+                per_mu.append((FAILS_AT_HORIZON, failed))
+            elif not finite and is_zero_morphism(q_probe):
+                rec.rule = "zero-map"
+                per_mu.append((HOLDS_STABILIZED, rec))
+            elif _periodic_covered(x, limit):
+                rec.rule = "eventual-periodicity"
+                per_mu.append((HOLDS_STABILIZED, rec))
+            else:
+                per_mu.append((HOLDS_AT_HORIZON, rec))
     return _assemble(prop, per_mu, h, finite)
 
 

@@ -175,7 +175,13 @@ def _table(doc: dict, key: str, width: int, default=None, labels=0) -> list:
 
 def _build_family(doc: dict, seed_override):
     """What the family named by a nat-index document builds: a system or
-    an (F, G, f) triple."""
+    an (F, G, f) triple.  The family sets its own objects, bonds and flags,
+    so a document that also carries them is refused."""
+    stray = [key for key in ("flags", "objects", "bonds") if key in doc]
+    if stray:
+        raise DocumentError(
+            f"a nat family document cannot carry {', '.join(map(repr, stray))}; "
+            "its family builds them")
     return fam.build_family(
         doc.get("family", ""),
         {k: _dec_int(v) for k, v in _field(doc, "params", dict, {}).items()},

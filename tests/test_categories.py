@@ -140,11 +140,48 @@ def test_compose_matches_reduced_product():
                 assert got.matrix.at(i, j) == (v % e if e else v)
 
 
-def test_compose_refuses_mismatched_endpoints():
-    with pytest.raises(BackendError):
-        compose(reduction(Z(4), Z(2)), identity(Z(8)))
-    with pytest.raises(BackendError):
-        compose(identity(Z(2)), identity(PointedFiniteSet(2)))
+REFUSALS = {
+    "compose across backends": (
+        compose, identity(Z(2)), identity(PointedFiniteSet(2))),
+    "compose across mismatched endpoints": (
+        compose, reduction(Z(4), Z(2)), identity(Z(8))),
+    "compare across backends": (
+        morphisms_equal, identity(Z(2)), identity(PointedFiniteSet(2))),
+    "compare across mismatched endpoints": (
+        morphisms_equal, identity(Z(2)), identity(Z(4))),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_mismatched_pairs_are_refused_with_or_without_a_compose_memo(case):
+    fn, a, b = REFUSALS[case]
+    with pytest.raises(BackendError) as outside:
+        fn(a, b)
+    with categories.value_memo() as memo:
+        # a refused pair is never stored, so it is refused again
+        for _ in range(2):
+            with pytest.raises(BackendError) as inside:
+                fn(a, b)
+            assert str(inside.value) == str(outside.value)
+    assert memo == {}
+
+
+@pytest.mark.parametrize("obj", [FgAbelianObject((4, 6)), PointedFiniteSet(4)],
+                         ids=["abelian", "pointed"])
+def test_a_compose_memo_shares_equal_composites_only_inside_its_scope(obj):
+    def make():
+        return (abelian_scalar(obj, 5) if isinstance(obj, FgAbelianObject)
+                else PointedMap(obj, obj, (0, 2, 3, 1)))
+
+    g, g2 = make(), make()
+    assert g == g2 and g is not g2
+    # outside a scope compose keeps nothing
+    assert compose(g, g) is not compose(g, g)
+    with categories.value_memo() as memo:
+        h = compose(g, g)
+        assert compose(g2, g2) is h and list(memo.values()) == [h]
+    assert categories._memo.get() is None
+    assert compose(g2, g2) == h and compose(g2, g2) is not h
 
 
 def test_value_classes_carry_no_instance_dict():

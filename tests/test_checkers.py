@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import promov
-from promov import checkers
+from promov import categories, checkers
 from promov.categories import (
     Z,
     abelian_scalar,
@@ -44,9 +44,11 @@ from promov.families import (
     constant_system,
     domination_pair,
     example_2_27,
+    finite_instance_corpus,
     rudimentary,
 )
 from promov.indexsets import NAT, FiniteDirectedPoset
+from promov.oracle import oracle_check
 from promov.systems import (
     InverseSystem,
     SystemMorphism,
@@ -298,6 +300,75 @@ def test_one_check_solves_each_distinct_problem_once(monkeypatch):
     first = len(problems)
     check("strongly_movable", f, H)
     assert len(problems) == 2 * first
+
+
+def _recording_compose(monkeypatch) -> list:
+    """(g, f, memo live) of every pair compose computes rather than looks
+    up, in call order."""
+    made = []
+    real = categories._compose
+
+    def recording(g, f):
+        made.append((g, f, categories._memo.get() is not None))
+        return real(g, f)
+
+    monkeypatch.setattr(categories, "_compose", recording)
+    return made
+
+
+def test_one_sequence_check_composes_each_distinct_pair_once(monkeypatch):
+    f = domination_pair(3)[0]
+    made = _recording_compose(monkeypatch)
+    # every compose call, at each of its binding sites: a pair equal by value
+    # to an earlier one must get back the very morphism composed for it
+    answers, calls = {}, []
+    real = categories.compose
+
+    def spy(a, b):
+        h = real(a, b)
+        assert answers.setdefault((a, b), h) is h
+        calls.append((a, b))
+        return h
+
+    for module in (categories, checkers, promov.systems):
+        monkeypatch.setattr(module, "compose", spy)
+    assert check("strongly_movable", f, H).status == HOLDS_STABILIZED
+    pairs = [(g, h) for g, h, _ in made]
+    assert all(live for *_, live in made)
+    assert pairs and len(pairs) == len(set(pairs)) == len(answers) < len(calls)
+    # the memo dies with its check: a second check composes again, with the
+    # restrictions and bonds it reads already kept on f
+    del made[:]
+    answers.clear()
+    check("strongly_movable", f, H)
+    again = [(g, h) for g, h, _ in made]
+    assert again and len(again) == len(set(again)) and set(again) <= set(pairs)
+
+
+def test_the_compose_memo_dies_with_a_check_that_raises(monkeypatch):
+    made = _recording_compose(monkeypatch)
+    f = example_2_27()[2]
+    runs = []
+    for _ in range(2):
+        del made[:]
+        # mu = 0..3 compose their zero witnesses before mu = 4 is refused
+        with pytest.raises(HorizonError):
+            check("uniformly_movable", f, Horizon(cone_max=3))
+        assert categories._memo.get() is None
+        runs.append({(g, h) for g, h, _ in made})
+    assert runs[1] and runs[1] <= runs[0]
+
+
+def test_finite_checks_and_the_oracle_keep_no_compose_memo(monkeypatch):
+    made = _recording_compose(monkeypatch)
+    f = finite_instance_corpus(0, 1)[0]
+    for prop in PROPERTIES:
+        assert check(prop, f, H).status == HOLDS
+        oracle_check(prop, f)
+    pairs = [(g, h) for g, h, _ in made]
+    # every call is computed, repeats included, with no memo live
+    assert len(pairs) > len(set(pairs))
+    assert not any(live for *_, live in made)
 
 
 def _recording_solver(monkeypatch) -> list:

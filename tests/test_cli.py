@@ -590,6 +590,16 @@ MALFORMED = {
         _with(flags={"eventually_periodic": ["3"]}),
         "eventually_periodic must be a tuple (offset, period) of ints, "
         "offset >= 0 and period >= 1, not (3,)"),
+    "nat family document carries flags and objects": (
+        {"index": {"kind": "nat"}, "family": "constant",
+         "params": {"modulus": "4"},
+         "flags": {"eventually_periodic": "junk"}, "objects": 7},
+        "a nat family document cannot carry 'flags', 'objects'"),
+    "nat family target carries bonds": (
+        _with(target={"index": {"kind": "nat"}, "family": "constant",
+                      "bonds": []},
+              morphism={"phi": [], "f": []}),
+        "a nat family document cannot carry 'bonds'"),
     "unknown select": (
         dict(family_doc(), select="middle"), "unknown select value 'middle'"),
     "example_2_27 family as a target": (
