@@ -13,6 +13,10 @@ over a finite directed poset is refused unless valid; the box then holds
 every index and every property holds at its top, so the verdict is Holds
 (only the oracle returns Fails).
 
+Every checker runs through one driver, _check, and differs only in how it
+decides one outer index mu.  A system has a property exactly when its
+identity morphism has it, so the system-level and C0 checks run it on 1_X.
+
 The six morphism checkers are one search.  For each outer index mu it probes
 one lambda, the top of the box, and looks for a witness w : X_lambda -> Z_k
 with L_k o w = f_{mu lambda} at every deeper key k: one factorization
@@ -202,14 +206,6 @@ def _admit(f: SystemMorphism, h: Horizon) -> bool:
     return finite
 
 
-def _compose_memo(finite: bool):
-    """The scope of one check: a categories.value_memo on sequence input,
-    where bonds, restrictions and strong composites repeat by value from key
-    to key; none on a finite poset, where too few compose calls repeat a
-    pair to pay for hashing it (see the categories module docstring)."""
-    return nullcontext() if finite else cat.value_memo()
-
-
 def _assemble(prop: str, per_mu: list, h: Horizon, finite: bool,
               notes=()) -> Verdict:
     """The verdict of the worst (status, record) in per_mu by _RANK.  On a
@@ -231,6 +227,19 @@ def _assemble(prop: str, per_mu: list, h: Horizon, finite: bool,
                    h, notes)
 
 
+def _check(prop: str, f: SystemMorphism, h: Horizon, decide, notes=()) -> Verdict:
+    """Admit f, give each mu of the box its (status, record) by decide(mu,
+    finite), which may append to notes, and assemble the verdict.  On
+    sequence input the mu loop runs in one categories.value_memo, as bonds,
+    restrictions and strong composites repeat by value from key to key; a
+    finite poset gets none, as too few of its compose calls repeat a pair to
+    pay for hashing it (see the categories module docstring)."""
+    finite = _admit(f, h)
+    with nullcontext() if finite else cat.value_memo():
+        per_mu = [decide(mu, finite) for mu in f.target.index.above(limit=h.mu_max)]
+    return _assemble(prop, per_mu, h, finite, notes)
+
+
 # ---------------------------------------------------------------------------
 # the witness search behind the six morphism checkers
 
@@ -241,16 +250,11 @@ _UNIFORM = "uniform"
 
 
 def _search(prop: str, f: SystemMorphism, h: Horizon, co: bool, kind: str) -> Verdict:
-    finite = _admit(f, h)
-    solve = cache(_solve)
-    with _compose_memo(finite):
-        per_mu = [_search_mu(f, mu, h, co, kind, finite, solve)
-                  for mu in f.target.index.above(limit=h.mu_max)]
-    return _assemble(prop, per_mu, h, finite)
+    return _check(prop, f, h, partial(_search_mu, f, h, co, kind, cache(_solve)))
 
 
-def _search_mu(f: SystemMorphism, mu, h: Horizon, co: bool, kind: str,
-               finite: bool, solve):
+def _search_mu(f: SystemMorphism, h: Horizon, co: bool, kind: str, solve,
+               mu, finite: bool):
     """(status, record) for one mu: a witness w : X_lambda -> Z_k with
     L_k o w = f_{mu lambda} at every key k, plus the lambda* equation of a
     strong search."""
@@ -387,58 +391,47 @@ def mittag_leffler(f: SystemMorphism, h: Horizon = Horizon()) -> Verdict:
     reported as Unknown together with the chain.
     """
     x, y = f.source, f.target
-    finite = _admit(f, h)
-    per_mu = []
     notes = []
-    with _compose_memo(finite):
-        for mu in y.index.above(limit=h.mu_max):
-            chain = [(lam, cat.image_subobject(restrict(f, mu, lam)))
-                     for lam in x.index.above(f.phi(mu), limit=h.lambda_max)]
-            if finite:
-                # exact: the first lam whose image equals every deeper one; the
-                # greatest element always is such a lam
-                lam, img = next((lam, img) for lam, img in chain if all(
-                    img == i for l2, i in chain if x.index.leq(lam, l2)))
-                per_mu.append((HOLDS_AT_HORIZON, WitnessRecord(
-                    mu, lam, None, extra={"image": img})))
-                continue
-            # stabilization rules, strongest first
-            rec = None
-            trivial = cat.trivial_subobject(y.object_at(mu))
+
+    def decide(mu, finite):
+        # never empty: _admit refuses phi(mu) > lambda_max
+        chain = [(lam, cat.image_subobject(restrict(f, mu, lam)))
+                 for lam in x.index.above(f.phi(mu), limit=h.lambda_max)]
+        if finite:
+            # exact: the first lam whose image equals every deeper one; the
+            # greatest element always is such a lam
+            lam, img = next((lam, img) for lam, img in chain if all(
+                img == i for l2, i in chain if x.index.leq(lam, l2)))
+            return HOLDS_AT_HORIZON, WitnessRecord(mu, lam, None, extra={"image": img})
+        # stabilization rules, strongest first
+        trivial = cat.trivial_subobject(y.object_at(mu))
+        for lam, img in chain:
+            if img == trivial:
+                # a descending chain through the basepoint stays trivial
+                return HOLDS_STABILIZED, WitnessRecord(
+                    mu, lam, "zero-image", extra={"image": img})
+        lam, img = chain[0]
+        if x.flags.all_bondings_epimorphic and all(img == i for _, i in chain):
+            # f_{mu lambda} = f_mu o p_{phi(mu) lambda} with p epi: the image
+            # equals image(f_mu) at every stage
+            return HOLDS_STABILIZED, WitnessRecord(
+                mu, lam, "epimorphic-bondings", extra={"image": img})
+        if x.flags.eventually_periodic is not None:
+            off, per = x.flags.eventually_periodic
             for lam, img in chain:
-                if img == trivial:
-                    # a descending chain through the basepoint stays trivial
-                    rec = WitnessRecord(mu, lam, "zero-image", extra={"image": img})
-                    break
-            if rec is None and x.flags.all_bondings_epimorphic:
-                # f_{mu lambda} = f_mu o p_{phi(mu) lambda} with p epi: the image
-                # equals image(f_mu) at every stage
-                lam0, img0 = chain[0]
-                if all(img0 == i for _, i in chain):
-                    rec = WitnessRecord(mu, lam0, "epimorphic-bondings",
-                                        extra={"image": img0})
-            if rec is None and x.flags.eventually_periodic is not None:
-                off, per = x.flags.eventually_periodic
-                for lam, img in chain:
-                    if lam < off or lam + per > chain[-1][0]:
-                        continue
-                    window = [i for l2, i in chain if lam <= l2 <= lam + per]
-                    if all(img == i for i in window):
-                        rec = WitnessRecord(mu, lam, "eventual-periodicity",
-                                            extra={"image": img})
-                        break
-            if rec is not None:
-                per_mu.append((HOLDS_STABILIZED, rec))
-            elif len(chain) >= 2 and chain[-2][1] == chain[-1][1]:
-                per_mu.append((HOLDS_AT_HORIZON, WitnessRecord(
-                    mu, chain[-1][0], None, extra={"image": chain[-1][1]})))
-            else:
-                notes.append(
-                    f"mu={mu}: image chain still strictly decreasing at the "
-                    f"horizon: {[p for _, p in chain]}")
-                per_mu.append((UNKNOWN, WitnessRecord(
-                    mu, None, None, extra={"chain": tuple(p for _, p in chain)})))
-    return _assemble("mittag_leffler", per_mu, h, finite, notes=notes)
+                if off <= lam and lam + per <= chain[-1][0] and all(
+                        img == i for l2, i in chain if lam <= l2 <= lam + per):
+                    return HOLDS_STABILIZED, WitnessRecord(
+                        mu, lam, "eventual-periodicity", extra={"image": img})
+        if len(chain) >= 2 and chain[-2][1] == chain[-1][1]:
+            return HOLDS_AT_HORIZON, WitnessRecord(
+                mu, chain[-1][0], None, extra={"image": chain[-1][1]})
+        notes.append(f"mu={mu}: image chain still strictly decreasing at the "
+                     f"horizon: {[p for _, p in chain]}")
+        return UNKNOWN, WitnessRecord(
+            mu, None, None, extra={"chain": tuple(p for _, p in chain)})
+
+    return _check("mittag_leffler", f, h, decide, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -446,22 +439,17 @@ def mittag_leffler(f: SystemMorphism, h: Horizon = Horizon()) -> Verdict:
 
 
 def movable_system(x: InverseSystem, h: Horizon = Horizon()) -> Verdict:
-    return _relabel(movable_morphism(x.identity_morphism, h), "movable_system")
+    return _search("movable_system", x.identity_morphism, h, co=False, kind=_PLAIN)
 
 
 def strongly_movable_system(x: InverseSystem, h: Horizon = Horizon()) -> Verdict:
-    return _relabel(strongly_movable_morphism(x.identity_morphism, h),
-                    "strongly_movable_system")
+    return _search("strongly_movable_system", x.identity_morphism, h,
+                   co=False, kind=_STRONG)
 
 
 def uniformly_movable_system(x: InverseSystem, h: Horizon = Horizon()) -> Verdict:
-    return _relabel(uniformly_movable_morphism(x.identity_morphism, h),
-                    "uniformly_movable_system")
-
-
-def _relabel(v: Verdict, prop: str) -> Verdict:
-    v.property = prop
-    return v
+    return _search("uniformly_movable_system", x.identity_morphism, h,
+                   co=False, kind=_UNIFORM)
 
 
 # ---------------------------------------------------------------------------
@@ -485,36 +473,32 @@ def _c0_search(prop: str, x: InverseSystem, c0_objects, h: Horizon,
     """For each mu and each probe hm : X0 -> X_lambda, a witness r with
     q_{mu k} o r = q_{mu lambda} o hm at every key k: each deeper index, or
     the single cone top."""
-    finite = _admit(x.identity_morphism, h)
     if not c0_objects:
-        return _assemble(prop, [], h, finite, notes=["vacuous: empty probe class"])
+        return _assemble(prop, [], h, _admit(x.identity_morphism, h),
+                         notes=["vacuous: empty probe class"])
     solve = cache(_solve)
-    per_mu = []
-    with _compose_memo(finite):
-        for mu in x.index.above(limit=h.mu_max):
-            probe = x.top(h.lambda_max)
-            keys, limit, extra = _keys(x, mu, h, uniform, "mu")
-            rec = WitnessRecord(mu, probe, None, extra=extra)
-            q_probe = x.bond(mu, probe)
-            reason = ("no relative cone top-leg" if uniform
-                      else "no relative movability witness")
-            # the first unsolvable (key, x0, hm), in that order, refutes mu
-            failed = next((Refutation(mu, probe, k, reason)
-                           for k in keys for x0 in c0_objects
-                           for hm in cat.enumerate_homs(x0, x.object_at(probe))
-                           if solve(x.bond(mu, k), compose(q_probe, hm)) is None),
-                          None)
-            if failed is not None:
-                per_mu.append((FAILS_AT_HORIZON, failed))
-            elif not finite and is_zero_morphism(q_probe):
-                rec.rule = "zero-map"
-                per_mu.append((HOLDS_STABILIZED, rec))
-            elif _periodic_covered(x, limit):
-                rec.rule = "eventual-periodicity"
-                per_mu.append((HOLDS_STABILIZED, rec))
-            else:
-                per_mu.append((HOLDS_AT_HORIZON, rec))
-    return _assemble(prop, per_mu, h, finite)
+    reason = "no relative cone top-leg" if uniform else "no relative movability witness"
+
+    def decide(mu, finite):
+        probe = x.top(h.lambda_max)
+        keys, limit, extra = _keys(x, mu, h, uniform, "mu")
+        q_probe = x.bond(mu, probe)
+        # the first unsolvable (key, x0, hm), in that order, refutes mu
+        failed = next((Refutation(mu, probe, k, reason)
+                       for k in keys for x0 in c0_objects
+                       for hm in cat.enumerate_homs(x0, x.object_at(probe))
+                       if solve(x.bond(mu, k), compose(q_probe, hm)) is None),
+                      None)
+        if failed is not None:
+            return FAILS_AT_HORIZON, failed
+        if not finite and is_zero_morphism(q_probe):
+            return HOLDS_STABILIZED, WitnessRecord(mu, probe, "zero-map", extra=extra)
+        if _periodic_covered(x, limit):
+            return HOLDS_STABILIZED, WitnessRecord(
+                mu, probe, "eventual-periodicity", extra=extra)
+        return HOLDS_AT_HORIZON, WitnessRecord(mu, probe, None, extra=extra)
+
+    return _check(prop, x.identity_morphism, h, decide)
 
 
 # ---------------------------------------------------------------------------

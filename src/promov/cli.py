@@ -26,7 +26,6 @@ from .categories import (
     FgAbelianObject,
     PointedFiniteSet,
     PointedMap,
-    identity,
 )
 from .checkers import Horizon, Refutation, Verdict, WitnessRecord
 from .indexsets import FiniteDirectedPoset, is_finite_index, validate_poset
@@ -206,9 +205,8 @@ def system_from_dict(doc: dict, seed_override=None) -> InverseSystem:
         for lo, hi, mspec in _table(doc, "bonds", 3, labels=2):
             bonds[(lo, hi)] = morphism_from_dict(mspec)
         for a in poset.members():
-            bonds.setdefault((a, a), identity(objects[a]))
             for b in poset.above(a):
-                if (a, b) not in bonds:
+                if a != b and (a, b) not in bonds:
                     raise DocumentError(f"missing bond for pair ({a!r}, {b!r})")
         flags = _flags_from_dict(_field(doc, "flags", dict, {}))
         return InverseSystem(poset, objects=objects, bonds=bonds, flags=flags,

@@ -265,7 +265,7 @@ def test_options_a_command_does_not_read_are_refused(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_compose_and_equiv(tmp_path):
+def test_compose_and_equiv(tmp_path, capsys):
     doc = chain_doc()
     z4 = abelian(4)
     ident = abelian_map(z4, z4, [["1"]])
@@ -286,8 +286,10 @@ def test_compose_and_equiv(tmp_path):
     assert code == EXIT_NEGATIVE and "not equivalent" in text
     del doc["morphism2"]
     path = write(tmp_path, doc, "lone.json")
-    code, _ = run(["compose", path])
-    assert code == EXIT_PARSE
+    for command in ("compose", "equiv"):
+        assert run([command, path]) == (EXIT_PARSE, "")
+        assert (f"{command} needs 'morphism' and 'morphism2'"
+                in capsys.readouterr().err)
     # X -> Y -> W through the nested 'target' and 'target2' documents:
     # Z/4 onto Z/2 over the chain a <= b, then Z/2 at b into Z/4 at the
     # single index c as x2, composes to x2 from X_b to W_c

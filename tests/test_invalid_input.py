@@ -13,25 +13,42 @@ purpose:
 - the identity of a non-functorial 3-chain on Z/4 (p_ab = p_bc = 1, p_ac = x2);
 - a non-functorial 3-chain on Z/4 (q_ab = x2, q_bc = q_ac = 1), also under
   the C0-relative checks.
+
+A finite system flagged eventually periodic is refused the same way, and
+each malformed library call (a shape, size or endpoint that no valid input
+has) raises its own error type and message.
 """
 
 import hashlib
+import io
 import json
 
 import pytest
 
 from promov import checkers
-from promov.categories import Z, abelian_scalar, identity
+from promov.categories import (
+    BackendError,
+    PointedFiniteSet,
+    PointedMap,
+    Z,
+    abelian_scalar,
+    enumerate_homs,
+    forgetful_object,
+    identity,
+)
 from promov.checkers import FAILS, HOLDS, PROPERTIES, check
-from promov.cli import verdict_to_dict
+from promov.cli import EXIT_NEGATIVE, EXIT_PARSE, main, verdict_to_dict
 from promov.families import constant_poset_system, constant_system
-from promov.indexsets import FiniteDirectedPoset
+from promov.indexsets import FiniteDirectedPoset, NatIndex, validate_poset
+from promov.intlinalg import IntMatrix, solve_congruence_system
 from promov.oracle import oracle_check
 from promov.systems import (
     InverseSystem,
     SystemFlags,
     SystemMorphism,
+    are_equivalent,
     identity_morphism,
+    validate_system,
     violations,
 )
 
@@ -165,3 +182,118 @@ def test_oracle_output_on_invalid_input_is_pinned():
                                 sort_keys=True).encode())
             h.update(b"\n")
     assert h.hexdigest() == ORACLE_DIGEST
+
+
+def test_finite_system_flagged_periodic_is_refused_by_every_checker(tmp_path):
+    # the flag speaks of a sequence's steps; on a finite poset it is a
+    # violation that promov validate names and every checker refuses with
+    violation = "eventually_periodic flag only applies to sequences"
+    x = InverseSystem(FiniteDirectedPoset.chain(("a", "b")),
+                      objects={"a": Z4, "b": Z4}, bonds={("a", "b"): identity(Z4)},
+                      flags=SystemFlags(eventually_periodic=(0, 1)))
+    assert validate_system(x) == [violation]
+    f = x.identity_morphism
+    _check_all(f, violation)
+    for system_check in (checkers.movable_system, checkers.strongly_movable_system,
+                         checkers.uniformly_movable_system):
+        _assert_refused(f, violation, lambda: system_check(x))
+    for c0_check in (checkers.c0_movable_system,
+                     checkers.c0_uniformly_movable_system):
+        _assert_refused(f, violation, lambda: c0_check(x, [Z(2)]))
+    z4 = {"kind": "abelian", "factors": ["4"]}
+    doc = {"index": {"kind": "finite", "elements": ["a", "b"],
+                     "pairs": [["a", "b"]]},
+           "objects": {"a": z4, "b": z4},
+           "bonds": [["a", "b", {"kind": "abelian_map", "source": z4,
+                                 "target": z4, "matrix": [["1"]]}]],
+           "flags": {"eventually_periodic": ["0", "1"]}}
+    path = tmp_path / "flagged.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    assert main(["validate", str(path)], out) == EXIT_NEGATIVE
+    assert out.getvalue() == f"violation: {violation}\n"
+    out = io.StringIO()
+    assert main(["check", "movable", str(path)], out) == EXIT_PARSE
+    assert out.getvalue() == ""
+
+
+def _poset(labels, rows) -> FiniteDirectedPoset:
+    return FiniteDirectedPoset(tuple(labels), tuple(map(tuple, rows)))
+
+
+S2 = PointedFiniteSet(2)
+T, F = True, False
+
+# malformed library calls: (call, error type, message)
+REFUSALS = {
+    "order of Z": (lambda: Z(0).order(), BackendError, "object is infinite"),
+    "pointed set of size 0": (
+        lambda: PointedFiniteSet(0), ValueError,
+        "a pointed set has at least the basepoint"),
+    "pointed map table too short": (
+        lambda: PointedMap(S2, S2, (0,)), BackendError,
+        "image table length does not match source size"),
+    "pointed map image out of range": (
+        lambda: PointedMap(S2, S2, (0, 2)), BackendError, "image out of range"),
+    "homs from Z to Z": (
+        lambda: next(enumerate_homs(Z(0), Z(0))), BackendError,
+        "hom-set is infinite"),
+    "homs over the cap": (
+        lambda: next(enumerate_homs(PointedFiniteSet(20), S2)), BackendError,
+        "hom-set size 524288 exceeds enumeration cap"),
+    "forget Z": (
+        lambda: forgetful_object(Z(0)), BackendError,
+        "cannot forget an infinite group to a finite set"),
+    "poset table shape": (
+        lambda: _poset("ab", [[T, T]]), ValueError,
+        "leq table shape must match element count"),
+    "poset labels repeat": (
+        lambda: _poset("aa", [[T, T], [T, T]]), ValueError,
+        "element labels must be distinct"),
+    "mul shapes": (
+        lambda: IntMatrix(2, 2, (1, 0, 0, 1)).mul(IntMatrix(3, 1, (1, 2, 3))),
+        ValueError, "cannot multiply 2x2 by 3x1"),
+    "mul_vector length": (
+        lambda: IntMatrix(2, 2, (1, 0, 0, 1)).mul_vector([1, 2, 3]),
+        ValueError, "vector length mismatch"),
+    "det of a non-square matrix": (
+        lambda: IntMatrix(1, 2, (1, 2)).det(), ValueError,
+        "determinant of non-square matrix"),
+    "congruence dimensions": (
+        lambda: solve_congruence_system(IntMatrix(1, 1, (1,)), [1, 2], [0]),
+        ValueError, "dimension mismatch between matrix, rhs and moduli"),
+    "finite system without tables": (
+        lambda: InverseSystem(FiniteDirectedPoset.chain(("a",)),
+                              objects={"a": Z4}),
+        ValueError, "finite-poset systems need objects and bonds tables"),
+    "sequence system without rules": (
+        lambda: InverseSystem(NatIndex(), object_rule=lambda n: Z4), ValueError,
+        "sequence systems need object and step rules"),
+    "bond of a non-comparable pair": (
+        lambda: InverseSystem(
+            FiniteDirectedPoset.from_pairs("abc", [("a", "c"), ("b", "c")]),
+            objects={}, bonds={}).bond("a", "b"),
+        ValueError, "bond requested for non-comparable pair ('a', 'b')"),
+    "equivalence across endpoints": (
+        lambda: are_equivalent(identity_morphism(constant_system(Z4)),
+                               identity_morphism(constant_system(Z(2)))),
+        BackendError, "equivalence requires identical endpoints"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_malformed_library_calls_are_refused(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize("rows, report", [
+    ([[F, T], [F, T]], ["reflexivity fails at 'a'"]),
+    # a <= b <= c, not a <= c, with d on top
+    ([[T, T, F, T], [F, T, T, T], [F, F, T, T], [F, F, F, T]],
+     ["transitivity fails at ('a', 'b', 'c')"]),
+])
+def test_validate_poset_reports_reflexivity_and_transitivity(rows, report):
+    assert validate_poset(_poset("abcd"[:len(rows)], rows)) == report
