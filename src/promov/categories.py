@@ -388,11 +388,6 @@ def image_subobject(f: Morphism) -> tuple:
     return _span(f.target, [list(f.matrix.col(j)) for j in range(f.matrix.cols)])
 
 
-def trivial_subobject(ambient: Object) -> tuple:
-    """The presentation of the zero subobject (the basepoint) of ambient."""
-    return _span(ambient, [])
-
-
 # ---------------------------------------------------------------------------
 # hom-set enumeration and the forgetful functor
 

@@ -162,9 +162,12 @@ def _keys(z: InverseSystem, low, h: Horizon, uniform: bool, name: str):
     return [top], h.cone_max, {"cone_top": top}
 
 
-def _first_zero(candidates, morphism_at):
-    """First candidate c with morphism_at(c) the zero morphism, or None."""
-    return next((c for c in candidates if is_zero_morphism(morphism_at(c))), None)
+def _zero_stage(f: SystemMorphism, mu, h: Horizon):
+    """The first lambda in the box with f_{mu lambda} = 0, or None.  From
+    there on the zero witness solves every key (zero-map) and the image of
+    f_{mu lambda} is trivial (zero-image)."""
+    return next((lam for lam in f.source.index.above(f.phi(mu), limit=h.lambda_max)
+                 if is_zero_morphism(restrict(f, mu, lam))), None)
 
 
 def _periodic_covered(system: InverseSystem, h_limit: int) -> bool:
@@ -206,12 +209,19 @@ def _admit(f: SystemMorphism, h: Horizon) -> bool:
     return finite
 
 
-def _assemble(prop: str, per_mu: list, h: Horizon, finite: bool,
-              notes=()) -> Verdict:
-    """The verdict of the worst (status, record) in per_mu by _RANK.  On a
-    finite poset the box holds every index and the input is valid, so every
-    property holds at the greatest element: the verdict is Holds, and any
-    other outcome is a broken theorem, raised as AssertionError."""
+def _check(prop: str, f: SystemMorphism, h: Horizon, decide, notes=()) -> Verdict:
+    """Admit f, give each mu of the box its (status, record) by decide(mu,
+    finite), which may append to notes, and return the verdict of the worst
+    by _RANK.  On sequence input the mu loop runs in one
+    categories.value_memo, as bonds, restrictions and strong composites
+    repeat by value from key to key; a finite poset gets none, as too few of
+    its compose calls repeat a pair (see the categories module docstring).
+    A finite box holds every index of a valid input, so every property holds
+    at the greatest element: the verdict is Holds, and any other outcome is
+    a broken theorem, raised as AssertionError."""
+    finite = _admit(f, h)
+    with nullcontext() if finite else cat.value_memo():
+        per_mu = [decide(mu, finite) for mu in f.target.index.above(limit=h.mu_max)]
     status = min((s for s, _ in per_mu), key=_RANK.index,
                  default=HOLDS_STABILIZED)
     notes = list(notes)
@@ -225,19 +235,6 @@ def _assemble(prop: str, per_mu: list, h: Horizon, finite: bool,
                    [r for _, r in per_mu if isinstance(r, WitnessRecord)],
                    next((r for _, r in per_mu if isinstance(r, Refutation)), None),
                    h, notes)
-
-
-def _check(prop: str, f: SystemMorphism, h: Horizon, decide, notes=()) -> Verdict:
-    """Admit f, give each mu of the box its (status, record) by decide(mu,
-    finite), which may append to notes, and assemble the verdict.  On
-    sequence input the mu loop runs in one categories.value_memo, as bonds,
-    restrictions and strong composites repeat by value from key to key; a
-    finite poset gets none, as too few of its compose calls repeat a pair to
-    pay for hashing it (see the categories module docstring)."""
-    finite = _admit(f, h)
-    with nullcontext() if finite else cat.value_memo():
-        per_mu = [decide(mu, finite) for mu in f.target.index.above(limit=h.mu_max)]
-    return _assemble(prop, per_mu, h, finite, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +273,7 @@ def _search_mu(f: SystemMorphism, h: Horizon, co: bool, kind: str, solve,
                                "phi(mu)" if co else "mu")
 
     # zero-map rule: f_{mu zlam} = 0 is solved by the zero witness at every key
-    zlam = None
-    if not finite and not (co and kind == _STRONG):
-        zlam = _first_zero(x.index.above(f.phi(mu), limit=h.lambda_max),
-                           partial(restrict, f, mu))
+    zlam = None if finite or (co and kind == _STRONG) else _zero_stage(f, mu, h)
     if zlam is not None:
         rec = WitnessRecord(mu, zlam, "zero-map", extra=dict(extra))
         f_zero = restrict(f, mu, zlam)
@@ -287,7 +281,8 @@ def _search_mu(f: SystemMorphism, h: Horizon, co: bool, kind: str, solve,
             if kind == _STRONG:
                 # the zero witness solves the lambda* equation too once the
                 # deeper restriction is itself zero at some lambda*
-                zstar = _first_zero(stars(zlam, k), lambda s: right(k, s))
+                zstar = next((s for s in stars(zlam, k)
+                              if is_zero_morphism(right(k, s))), None)
                 if zstar is None:
                     break
                 rec.extra[k] = {"lambda_star": zstar}
@@ -386,50 +381,53 @@ def uniformly_co_movable_morphism(f: SystemMorphism, h: Horizon = Horizon()) -> 
 def mittag_leffler(f: SystemMorphism, h: Horizon = Horizon()) -> Verdict:
     """Eventual stabilization of the image chain f_{mu lambda}(X_lambda).
 
+    The chain descends: f_{mu lambda'} = f_{mu lambda} o p_{lambda lambda'}
+    for lambda <= lambda', so image(lambda') lies inside image(lambda), and a
+    stretch of the chain is constant exactly when its two ends agree.  So
+    each rule compares the ends of one stretch, with each image computed on
+    demand and once per mu, and only Unknown reads the whole chain.
+
     Failure is a genuinely infinite statement, so sequences never get
     FailsAtHorizon: a chain still strictly decreasing at the horizon is
     reported as Unknown together with the chain.
     """
-    x, y = f.source, f.target
+    x = f.source
     notes = []
 
     def decide(mu, finite):
         # never empty: _admit refuses phi(mu) > lambda_max
-        chain = [(lam, cat.image_subobject(restrict(f, mu, lam)))
-                 for lam in x.index.above(f.phi(mu), limit=h.lambda_max)]
+        lams = x.index.above(f.phi(mu), limit=h.lambda_max)
+        top = x.top(h.lambda_max)
+        image = cache(lambda lam: cat.image_subobject(restrict(f, mu, lam)))
+
+        def record(status, lam, rule=None):
+            return status, WitnessRecord(mu, lam, rule, extra={"image": image(lam)})
+
         if finite:
-            # exact: the first lam whose image equals every deeper one; the
-            # greatest element always is such a lam
-            lam, img = next((lam, img) for lam, img in chain if all(
-                img == i for l2, i in chain if x.index.leq(lam, l2)))
-            return HOLDS_AT_HORIZON, WitnessRecord(mu, lam, None, extra={"image": img})
+            # exact: the first lam whose image is the greatest element's
+            return record(HOLDS_AT_HORIZON,
+                          next(lam for lam in lams if image(lam) == image(top)))
         # stabilization rules, strongest first
-        trivial = cat.trivial_subobject(y.object_at(mu))
-        for lam, img in chain:
-            if img == trivial:
-                # a descending chain through the basepoint stays trivial
-                return HOLDS_STABILIZED, WitnessRecord(
-                    mu, lam, "zero-image", extra={"image": img})
-        lam, img = chain[0]
-        if x.flags.all_bondings_epimorphic and all(img == i for _, i in chain):
+        zlam = _zero_stage(f, mu, h)
+        if zlam is not None:
+            # a descending chain through the basepoint stays trivial
+            return record(HOLDS_STABILIZED, zlam, "zero-image")
+        if x.flags.all_bondings_epimorphic and image(lams[0]) == image(top):
             # f_{mu lambda} = f_mu o p_{phi(mu) lambda} with p epi: the image
             # equals image(f_mu) at every stage
-            return HOLDS_STABILIZED, WitnessRecord(
-                mu, lam, "epimorphic-bondings", extra={"image": img})
+            return record(HOLDS_STABILIZED, lams[0], "epimorphic-bondings")
         if x.flags.eventually_periodic is not None:
             off, per = x.flags.eventually_periodic
-            for lam, img in chain:
-                if off <= lam and lam + per <= chain[-1][0] and all(
-                        img == i for l2, i in chain if lam <= l2 <= lam + per):
-                    return HOLDS_STABILIZED, WitnessRecord(
-                        mu, lam, "eventual-periodicity", extra={"image": img})
-        if len(chain) >= 2 and chain[-2][1] == chain[-1][1]:
-            return HOLDS_AT_HORIZON, WitnessRecord(
-                mu, chain[-1][0], None, extra={"image": chain[-1][1]})
+            lam = next((lam for lam in x.index.above(lams[0], off, limit=top - per)
+                        if image(lam) == image(lam + per)), None)
+            if lam is not None:
+                return record(HOLDS_STABILIZED, lam, "eventual-periodicity")
+        if top > lams[0] and image(top - 1) == image(top):
+            return record(HOLDS_AT_HORIZON, top)
+        chain = [image(lam) for lam in lams]
         notes.append(f"mu={mu}: image chain still strictly decreasing at the "
-                     f"horizon: {[p for _, p in chain]}")
-        return UNKNOWN, WitnessRecord(
-            mu, None, None, extra={"chain": tuple(p for _, p in chain)})
+                     f"horizon: {chain}")
+        return UNKNOWN, WitnessRecord(mu, None, None, extra={"chain": tuple(chain)})
 
     return _check("mittag_leffler", f, h, decide, notes)
 
@@ -474,8 +472,9 @@ def _c0_search(prop: str, x: InverseSystem, c0_objects, h: Horizon,
     q_{mu k} o r = q_{mu lambda} o hm at every key k: each deeper index, or
     the single cone top."""
     if not c0_objects:
-        return _assemble(prop, [], h, _admit(x.identity_morphism, h),
-                         notes=["vacuous: empty probe class"])
+        return _check(prop, x.identity_morphism, h,
+                      lambda mu, finite: (HOLDS_STABILIZED, None),
+                      notes=["vacuous: empty probe class"])
     solve = cache(_solve)
     reason = "no relative cone top-leg" if uniform else "no relative movability witness"
 

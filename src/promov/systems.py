@@ -100,7 +100,8 @@ class InverseSystem:
         everywhere, and a chain from one saves a single compose but fills
         no p_{n,hi} for the next low end n to ask for."""
         if not self.index.leq(lo, hi):
-            raise ValueError(f"bond requested for non-comparable pair ({lo!r}, {hi!r})")
+            kind = "reversed" if self.index.leq(hi, lo) else "non-comparable"
+            raise ValueError(f"bond requested for {kind} pair ({lo!r}, {hi!r})")
         if lo == hi:
             return self._identity(lo)
         if self._step_rule is not None:

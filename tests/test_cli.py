@@ -7,6 +7,7 @@ import functools
 import io
 import json
 import operator
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -323,6 +324,18 @@ def test_demo_deterministic():
     assert [d["status"] for d in docs] == [
         "HoldsStabilized", "FailsAtHorizon", "FailsAtHorizon",
         "HoldsStabilized"]
+
+
+def test_module_entry_point_runs_main(monkeypatch, capsys):
+    # python -m promov.cli: the module's own __main__ line calls main and
+    # exits with its code; dropping the imported module first runs the file
+    # fresh, as the interpreter would
+    monkeypatch.setattr(sys, "argv", ["promov", "demo"])
+    monkeypatch.delitem(sys.modules, "promov.cli")
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("promov.cli", run_name="__main__")
+    assert exc.value.code == EXIT_POSITIVE
+    assert "HoldsStabilized" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("prop", PROPERTIES)

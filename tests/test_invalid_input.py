@@ -274,6 +274,13 @@ REFUSALS = {
             FiniteDirectedPoset.from_pairs("abc", [("a", "c"), ("b", "c")]),
             objects={}, bonds={}).bond("a", "b"),
         ValueError, "bond requested for non-comparable pair ('a', 'b')"),
+    "bond of a reversed pair on a chain": (
+        lambda: InverseSystem(FiniteDirectedPoset.chain(("a", "b")),
+                              objects={}, bonds={}).bond("b", "a"),
+        ValueError, "bond requested for reversed pair ('b', 'a')"),
+    "bond of a reversed pair on NAT": (
+        lambda: constant_system(Z4).bond(5, 3),
+        ValueError, "bond requested for reversed pair (5, 3)"),
     "equivalence across endpoints": (
         lambda: are_equivalent(identity_morphism(constant_system(Z4)),
                                identity_morphism(constant_system(Z(2)))),
