@@ -432,22 +432,6 @@ def enumerate_homs(a: Object, b: Object) -> Iterator[Morphism]:
         yield FgAbelianMorphism(a, b, m)
 
 
-def _mixed_radix_decode(idx: int, factors: tuple) -> list:
-    out = []
-    for d in reversed(factors):
-        out.append(idx % d)
-        idx //= d
-    out.reverse()
-    return out
-
-
-def _mixed_radix_encode(coords, factors: tuple) -> int:
-    idx = 0
-    for c, d in zip(coords, factors):
-        idx = idx * d + (c % d)
-    return idx
-
-
 def forgetful_object(a: FgAbelianObject) -> PointedFiniteSet:
     if not a.is_finite():
         raise BackendError("cannot forget an infinite group to a finite set")
@@ -457,13 +441,12 @@ def forgetful_object(a: FgAbelianObject) -> PointedFiniteSet:
 def forgetful_to_sets(f: FgAbelianMorphism) -> PointedMap:
     """Underlying pointed map of a morphism of finite abelian groups.
 
-    Elements are indexed by mixed-radix encoding of coordinate tuples, so the
+    Each element is indexed by the place of its coordinate tuple in
+    itertools.product order (the last coordinate varies fastest), so the
     zero element is index 0 and the construction is functorial.
     """
-    src, tgt = forgetful_object(f.source), forgetful_object(f.target)
-    images = []
-    for idx in range(src.size):
-        coords = _mixed_radix_decode(idx, f.source.factors)
-        out = f.matrix.mul_vector(coords)
-        images.append(_mixed_radix_encode(out, f.target.factors))
-    return PointedMap(src, tgt, tuple(images))
+    tf = f.target.factors
+    place = {c: i for i, c in enumerate(itertools.product(*map(range, tf)))}
+    images = tuple(place[tuple(v % e for v, e in zip(f.matrix.mul_vector(c), tf))]
+                   for c in itertools.product(*map(range, f.source.factors)))
+    return PointedMap(forgetful_object(f.source), forgetful_object(f.target), images)

@@ -222,8 +222,7 @@ def _check(prop: str, f: SystemMorphism, h: Horizon, decide, notes=()) -> Verdic
     finite = _admit(f, h)
     with nullcontext() if finite else cat.value_memo():
         per_mu = [decide(mu, finite) for mu in f.target.index.above(limit=h.mu_max)]
-    status = min((s for s, _ in per_mu), key=_RANK.index,
-                 default=HOLDS_STABILIZED)
+    status = min((s for s, _ in per_mu), key=_RANK.index)
     notes = list(notes)
     if finite:
         if status in (FAILS_AT_HORIZON, UNKNOWN):

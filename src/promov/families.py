@@ -31,6 +31,7 @@ from .systems import (
     SystemMorphism,
     compose_morphisms,
     identity_morphism,
+    restrict,
 )
 
 
@@ -298,22 +299,18 @@ def bounded_phi_morphism(seed: int) -> SystemMorphism:
 
 
 def perturb_equivalent(f: SystemMorphism, seed: int) -> SystemMorphism:
-    """An equivalent representative: push phi up and precompose with the
-    corresponding bond, f'_mu = f_mu o p_{phi(mu) phi'(mu)}."""
+    """An equivalent representative: push phi up to phi' and take the
+    restriction there, f'_mu = f_{mu phi'(mu)} = f_mu o p_{phi(mu) phi'(mu)}."""
     rng = random.Random(seed)
     x = f.source
-    if not is_finite_index(x.index):
+    if is_finite_index(x.index):
+        top = x.index.greatest()
+        phi = {mu: top for mu in f.target.index.members()}.__getitem__
+    else:
         shift = rng.randrange(1, 4)
-        return SystemMorphism(
-            x, f.target, lambda n, s=shift: f.phi(n) + s,
-            lambda mu, s=shift: compose(f.f(mu), x.bond(f.phi(mu), f.phi(mu) + s)),
-            name=f"{f.name}-perturbed")
-    top = x.index.greatest()
-    table = {mu: top for mu in f.target.index.members()}
-    return SystemMorphism(
-        x, f.target, table.__getitem__,
-        lambda mu: compose(f.f(mu), x.bond(f.phi(mu), top)),
-        name=f"{f.name}-perturbed")
+        phi = lambda n: f.phi(n) + shift
+    return SystemMorphism(x, f.target, phi, lambda mu: restrict(f, mu, phi(mu)),
+                          name=f"{f.name}-perturbed")
 
 
 _SUMMAND_CHOICES = ((2,), (3,), (4,), (2, 2), (5,))

@@ -11,7 +11,8 @@ from typing import Union
 
 @dataclass(frozen=True)
 class FiniteDirectedPoset:
-    """Finite poset given by an explicit order table; must be directed.
+    """Finite poset given by an explicit order table; must be directed, so
+    it has at least one element (ValueError otherwise).
 
     leq is row-major over the element order: leq[i][j] is True iff
     elements[i] <= elements[j].
@@ -24,6 +25,8 @@ class FiniteDirectedPoset:
 
     def __post_init__(self):
         n = len(self.elements)
+        if not n:
+            raise ValueError("a directed poset needs at least one element")
         if len(self.leq_table) != n or any(len(r) != n for r in self.leq_table):
             raise ValueError("leq table shape must match element count")
         if len(set(self.elements)) != n:

@@ -3,16 +3,16 @@
 Finite-poset systems carry full bond tables and are checked exactly.
 Sequence systems (over the natural-number chain) carry generator rules for
 objects and step bonds; all judgments about them are horizon-bounded.  A
-system morphism's index function phi is a plain callable.  A system hands
-out one value per request: each object, step and identity bond is built
-once, and each composite bond is composed once, all kept in the system's
-tables (the step bonds in the bond table, under (n, n + 1)).  A system
-morphism caches its components f_mu and its restrictions f_{mu lam} the
-same way: each is built or composed once per morphism.
+system morphism's index function phi is a plain callable.
 
-On a sequence a missing composite is derived from its nearest cached
-neighbour, one compose per stage: a bond from a shorter bond with the same
-low end or the same high end, a restriction f_{mu lam} from f_{mu, lam-1}.
+Each derived value has one rule and one owner, and is built once.  A system
+keeps its objects, its bonds (the step bonds under (n, n + 1), the
+identities under (n, n)) and its identity morphism 1_X; a system morphism
+keeps its components f_mu and its restrictions f_{mu lam}.  On a sequence a
+missing composite extends the cached composite one step shorter by one
+compose: p_{lo,hi} = p_{lo,hi-1} o p_{hi-1,hi}, and f_{mu lam} =
+f_{mu,lam-1} o p_{lam-1,lam}.  A bond with no p_{lo,hi-1} cached is built
+down from the shallowest cached p_{m,hi} instead, one compose per stage.
 So the order of the requests decides which composites are formed, but never
 a value.  Every abelian morphism is stored canonically, in residues mod its
 target's factors, and that matrix is determined by the homomorphism alone;
@@ -92,43 +92,35 @@ class InverseSystem:
         """p_{lo,hi} : X_hi -> X_lo, for lo <= hi.
 
         On a sequence the step bond p_{n,n+1} is step_rule(n), built once
-        and kept in the bond table.  A longer miss extends the deepest cached
-        p_{lo,k}, lo + 1 < k < hi, up to hi.  Without one it builds p_{n,hi}
-        down from the shallowest cached p_{m,hi}, m > lo, or from the step
-        bond into hi.  Each stage is one compose, cached on the way.  A step
-        bond p_{lo,lo+1} starts no chain up: restrict caches the step bonds
-        everywhere, and a chain from one saves a single compose but fills
-        no p_{n,hi} for the next low end n to ask for."""
+        and kept in the bond table.  A longer miss is one compose from a
+        cached neighbour, as restrict extends f_{mu, lam-1}: with
+        p_{lo,hi-1} cached it is p_{lo,hi-1} o p_{hi-1,hi}.  Without it,
+        p_{n,hi} is built down from the shallowest cached p_{m,hi}, m > lo,
+        or from the step bond into hi, one compose and one cached value per
+        stage."""
         if not self.index.leq(lo, hi):
             kind = "reversed" if self.index.leq(hi, lo) else "non-comparable"
             raise ValueError(f"bond requested for {kind} pair ({lo!r}, {hi!r})")
         if lo == hi:
             return self._identity(lo)
-        if self._step_rule is not None:
-            bonds = self._bonds
-            p = bonds.get((lo, hi))
-            if p is None:
-                if hi == lo + 1:
-                    p = bonds[(lo, hi)] = self._step_rule(lo)
-                    return p
-                k = hi - 1
-                while k > lo + 1 and (lo, k) not in bonds:
-                    k -= 1
-                if k > lo + 1:
-                    # up: p_{lo,n+1} = p_{lo,n} o p_{n,n+1}
-                    p = bonds[(lo, k)]
-                    for n in range(k, hi):
-                        p = bonds[(lo, n + 1)] = compose(p, self.bond(n, n + 1))
-                else:
-                    # down: p_{n,hi} = p_{n,n+1} o p_{n+1,hi}
-                    m = lo + 1
-                    while m < hi - 1 and (m, hi) not in bonds:
-                        m += 1
-                    p = self.bond(m, hi)
-                    for n in range(m - 1, lo - 1, -1):
-                        p = bonds[(n, hi)] = compose(self.bond(n, n + 1), p)
-            return p
-        return self._bonds[(lo, hi)]
+        if self._step_rule is None:
+            return self._bonds[(lo, hi)]
+        bonds = self._bonds
+        p = bonds.get((lo, hi))
+        if p is None:
+            if hi == lo + 1:
+                p = self._step_rule(lo)
+            elif (lo, hi - 1) in bonds:
+                p = compose(bonds[(lo, hi - 1)], self.bond(hi - 1, hi))
+            else:
+                m = lo + 1
+                while m < hi - 1 and (m, hi) not in bonds:
+                    m += 1
+                p = self.bond(m, hi)
+                for n in range(m - 1, lo - 1, -1):
+                    p = bonds[(n, hi)] = compose(self.bond(n, n + 1), p)
+            bonds[(lo, hi)] = p
+        return p
 
     def _identity(self, lam) -> Morphism:
         # finite tables may carry (possibly wrong) diagonal entries that
@@ -141,9 +133,12 @@ class InverseSystem:
 
     @cached_property
     def identity_morphism(self) -> SystemMorphism:
-        """1_X, built on first use and kept: the system-level checks share
-        it, and with it the violations list it keeps."""
-        return identity_morphism(self)
+        """1_X = (1_{X_lam}, id), the one identity morphism of X: built on
+        first use and kept, so every check on X and identity_morphism(X)
+        share it, with the restrictions and the violations list it keeps."""
+        return SystemMorphism(self, self, lambda lam: lam,
+                              lambda lam: identity(self.object_at(lam)),
+                              name=f"1_{self.name}" if self.name else "identity")
 
     def top(self, horizon: int):
         """Greatest in-range index: poset greatest element, or the horizon."""
@@ -243,7 +238,8 @@ def restrict(f: SystemMorphism, mu, lam) -> Morphism:
     Composed once per morphism and cached on it, like the source's bonds;
     a lam below phi(mu) raises ValueError and caches nothing.  On a sequence
     with f_{mu, lam-1} cached it is f_{mu, lam-1} o p_{lam-1, lam}, one
-    compose and the same value (see the module docstring)."""
+    compose and the same value, the rule bond follows from p_{lo,hi-1}
+    (see the module docstring)."""
     table = f._restrictions
     r = table.get((mu, lam))
     if r is None:
@@ -306,9 +302,8 @@ def violations(f: SystemMorphism) -> list:
 
 
 def identity_morphism(x: InverseSystem) -> SystemMorphism:
-    return SystemMorphism(x, x, lambda lam: lam,
-                          lambda lam: identity(x.object_at(lam)),
-                          name=f"1_{x.name}" if x.name else "identity")
+    """1_X: x.identity_morphism, built once per system."""
+    return x.identity_morphism
 
 
 def compose_morphisms(g: SystemMorphism, f: SystemMorphism) -> SystemMorphism:

@@ -3,7 +3,7 @@
 import random
 import subprocess
 import sys
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -376,6 +376,31 @@ def test_forgetful_functor():
         assert lhs == rhs
     # worked example: doubling on Z/4 becomes (0, 2, 0, 2)
     assert forgetful_to_sets(abelian_scalar(Z(4), 2)).images == (0, 2, 0, 2)
+
+
+def test_forgetful_images_follow_the_mixed_radix_places():
+    # element (c_1, ..., c_r) of Z/d_1 + ... + Z/d_r sits at place
+    # sum c_i * d_{i+1} * ... * d_r; the swap Z/2 + Z/3 -> Z/3 + Z/2 sends
+    # (0,1) to (1,0) at place 2, (1,0) to (0,1) at place 1, and so on
+    swap = FgAbelianMorphism(FgAbelianObject((2, 3)), FgAbelianObject((3, 2)),
+                             IntMatrix.from_rows([[0, 1], [1, 0]]))
+    assert forgetful_to_sets(swap).images == (0, 2, 4, 1, 3, 5)
+
+    def place(coords, factors):
+        return sum(c * prod(factors[i + 1:]) for i, c in enumerate(coords))
+
+    def element(i, factors):
+        return [i // prod(factors[j + 1:]) % d for j, d in enumerate(factors)]
+
+    rng = random.Random(11)
+    for _ in range(40):
+        a, b = _random_abelian(rng), _random_abelian(rng)
+        f = _random_abelian_hom(rng, a, b)
+        images = forgetful_to_sets(f).images
+        assert len(images) == a.order()
+        for i, image in enumerate(images):
+            out = f.matrix.mul_vector(element(i, a.factors))
+            assert image == place([v % e for v, e in zip(out, b.factors)], b.factors)
 
 
 def test_identity_dispatch():

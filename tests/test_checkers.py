@@ -496,3 +496,34 @@ def test_zero_witness_check_survives_optimize_flag():
                           env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# each self-check raises its own message when a fault is injected below it
+SELF_CHECKS = {
+    # the solver hands back the zero map, which does not solve 1 o u = 1
+    "solver": (
+        categories, "_solve_abelian", lambda p: categories.zero(p.source, p.target),
+        lambda: categories.solve_factorization(categories.FactorizationProblem(
+            identity(Z(4)), identity(Z(4)))),
+        "solver returned a morphism that fails its equation"),
+    # no factorization exists, so a valid finite input fails at its top
+    "finite check": (
+        checkers, "solve_factorization", lambda p: None,
+        lambda: check("movable", constant_poset_system(
+            FiniteDirectedPoset.chain(("a", "b")), Z(4)).identity_morphism),
+        "movable is FailsAtHorizon on a valid finite input"),
+    # the zero witness's equation is tested with a broken equality
+    "zero witness": (
+        checkers, "morphisms_equal", lambda f, g: False,
+        lambda: check("movable", example_2_27()[2]),
+        "zero witness fails at mu = 0, key 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(SELF_CHECKS))
+def test_self_checks_catch_an_injected_fault(monkeypatch, case):
+    module, name, fault, call, message = SELF_CHECKS[case]
+    monkeypatch.setattr(module, name, fault)
+    with pytest.raises(AssertionError) as err:
+        call()
+    assert str(err.value) == message

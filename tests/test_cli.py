@@ -632,6 +632,17 @@ def test_malformed_document_exits_2(tmp_path, capsys, case):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["validate"], ["check", "movable"], ["check", "mittag_leffler", "--oracle"]])
+def test_an_empty_poset_exits_2(tmp_path, capsys, command):
+    # a directed set is non-empty: an empty one is neither valid nor Holds
+    doc = {"index": {"kind": "finite", "elements": [], "pairs": []},
+           "objects": {}, "bonds": []}
+    code, text = run([*command[:2], write(tmp_path, doc), *command[2:]])
+    assert code == EXIT_PARSE and text == ""
+    assert "a directed poset needs at least one element" in capsys.readouterr().err
+
+
 def test_commands_in_one_process_match_separate_runs(tmp_path):
     # main() keeps its parser between calls; each command must still print
     # what it prints in a fresh interpreter

@@ -247,6 +247,9 @@ REFUSALS = {
     "poset table shape": (
         lambda: _poset("ab", [[T, T]]), ValueError,
         "leq table shape must match element count"),
+    "empty poset": (
+        lambda: _poset("", []), ValueError,
+        "a directed poset needs at least one element"),
     "poset labels repeat": (
         lambda: _poset("aa", [[T, T], [T, T]]), ValueError,
         "element labels must be distinct"),

@@ -229,6 +229,14 @@ def test_identity_bonds_are_built_once():
     assert y.bond("a", "a") is y.bond("a", "a")
 
 
+def test_a_system_keeps_one_identity_morphism():
+    F, G, f = example_2_27()
+    x = constant_system(Z(4))
+    for z in (F, G, x):
+        assert identity_morphism(z) is z.identity_morphism
+        assert identity_morphism(z) is identity_morphism(z)
+
+
 def test_each_component_is_built_once():
     F, G, f = example_2_27()
     calls = []
@@ -287,6 +295,13 @@ def test_each_requested_composite_costs_one_compose(monkeypatch):
     # F's objects are all Z, and f's components land in the finite G_mu
     step_composes = sum(g.target == Z(0) for g in composed)
     assert step_composes <= 12 and len(composed) - step_composes <= 70
+    # p_{0,hi} right after p_{0,hi-1}: one compose, up from it (none for
+    # the step bond p_{0,1})
+    F, G, f = example_2_27()
+    for hi in range(1, 13):
+        composed.clear()
+        assert F.bond(0, hi).matrix.at(0, 0) == 2 ** hi
+        assert len(composed) == (hi > 1)
 
 
 def _left_fold(steps, x, lo, hi):
