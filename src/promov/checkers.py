@@ -276,6 +276,8 @@ def _search_mu(f: SystemMorphism, h: Horizon, co: bool, kind: str, solve,
     if zlam is not None:
         rec = WitnessRecord(mu, zlam, "zero-map", extra=dict(extra))
         f_zero = restrict(f, mu, zlam)
+        # one zero witness per target object: keys share Z_k by value
+        zero_to = cache(partial(cat.zero, x.object_at(zlam)))
         for k in keys:
             if kind == _STRONG:
                 # the zero witness solves the lambda* equation too once the
@@ -285,7 +287,7 @@ def _search_mu(f: SystemMorphism, h: Horizon, co: bool, kind: str, solve,
                 if zstar is None:
                     break
                 rec.extra[k] = {"lambda_star": zstar}
-            u = cat.zero(x.object_at(zlam), z.object_at(k))
+            u = zero_to(z.object_at(k))
             if not morphisms_equal(compose(left(k), u), f_zero):
                 raise AssertionError(f"zero witness fails at mu = {mu!r}, key {k!r}")
             rec.witnesses[k] = u

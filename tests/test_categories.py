@@ -190,6 +190,67 @@ def test_value_classes_carry_no_instance_dict():
         assert not hasattr(v, "__dict__")
 
 
+def test_equal_morphisms_built_apart_hash_equal():
+    z4, p3 = Z(4), PointedFiniteSet(3)
+    # identity(Z/4) four ways, two with entries the constructor reduces
+    ones = [identity(z4), abelian_scalar(z4, 5), abelian_scalar(z4, -3),
+            FgAbelianMorphism(Z(4), Z(4), IntMatrix.from_rows([[9]]))]
+    maps = [PointedMap(p3, PointedFiniteSet(2), (0, 1, 1)),
+            PointedMap(PointedFiniteSet(3), PointedFiniteSet(2), tuple([0, 1, 1]))]
+    for equal in (ones, maps):
+        assert all(m == equal[0] and m is not equal[0] for m in equal[1:])
+        # each value computes and keeps its own hash, and they agree
+        assert len({hash(m) for m in equal}) == 1
+    # a value key is found by an equal value built later
+    assert {ones[0]: "id"}[abelian_scalar(Z(4), 13)] == "id"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: abelian_scalar(FgAbelianObject((4, 6)), 5),
+    lambda: PointedMap(PointedFiniteSet(4), PointedFiniteSet(4), (0, 2, 3, 1))],
+    ids=["abelian", "pointed"])
+def test_a_morphism_keeps_its_hash_out_of_repr_and_eq(make):
+    m, fresh = make(), make()
+    text = repr(m)
+    h = hash(m)
+    assert m._hash == h and fresh._hash is None
+    assert all(hash(m) == h for _ in range(3))
+    # the kept hash changes neither what it prints nor what it equals
+    assert repr(m) == repr(fresh) == text and "_hash" not in text
+    assert m == fresh and not m != fresh
+    assert m != compose(m, m)
+
+
+def _counting_hashes(monkeypatch, classes) -> dict:
+    """Calls of each class's __hash__ from now on, by class name."""
+    counts = dict.fromkeys((c.__name__ for c in classes), 0)
+    for c in classes:
+        def counting(self, real=c.__hash__, name=c.__name__):
+            counts[name] += 1
+            return real(self)
+        monkeypatch.setattr(c, "__hash__", counting)
+    return counts
+
+
+@pytest.mark.parametrize("obj", [FgAbelianObject((4, 6)), PointedFiniteSet(4)],
+                         ids=["abelian", "pointed"])
+def test_a_compose_memo_hit_hashes_no_endpoint_or_matrix(monkeypatch, obj):
+    if isinstance(obj, FgAbelianObject):
+        g, f = abelian_scalar(obj, 5), abelian_scalar(obj, 7)
+    else:
+        g = PointedMap(obj, obj, (0, 2, 3, 1))
+        f = PointedMap(obj, obj, (0, 1, 1, 2))
+    counts = _counting_hashes(monkeypatch, (type(obj), IntMatrix))
+    with categories.value_memo():
+        h = compose(g, f)
+        assert sum(counts.values()) > 0  # the miss hashed g and f once
+        counts.update(dict.fromkeys(counts, 0))
+        for _ in range(3):
+            assert compose(g, f) is h
+    # each hit found the pair by the hashes g and f kept
+    assert counts == dict.fromkeys(counts, 0)
+
+
 def test_zero_and_epi():
     assert is_zero_morphism(zero(Z(4), Z(2)))
     assert is_epimorphism(reduction(Z(8), Z(2)))

@@ -82,6 +82,46 @@ def test_movable_morphism_with_witness_verification():
                                    restrict(f, rec.mu, rec.index))
 
 
+@pytest.mark.parametrize("prop", ["movable", "uniformly_movable", "co_movable",
+                                  "uniformly_co_movable"])
+def test_a_zero_map_rule_builds_one_witness_per_target_object(monkeypatch, prop):
+    # example 2.27's f is zero from lambda = 2 mu on, and these four searches
+    # certify it by the zero-map rule at every mu; per mu, keys whose
+    # objects are equal (F's Z, on the co side) share one zero witness
+    F, G, f = example_2_27()
+    per_mu = {}  # mu -> (source, target) of each cat.zero call at that mu
+    real_stage, real_zero = checkers._zero_stage, categories.zero
+
+    def stage(g, mu, h):
+        per_mu[mu] = []
+        return real_stage(g, mu, h)
+
+    def recording_zero(source, target):
+        list(per_mu.values())[-1].append((source, target))
+        return real_zero(source, target)
+
+    monkeypatch.setattr(checkers, "_zero_stage", stage)
+    monkeypatch.setattr(categories, "zero", recording_zero)
+    v = check(prop, f, H)
+    assert v.status == HOLDS_STABILIZED
+    assert [rec.mu for rec in v.witnesses] == list(per_mu)
+    side = F if "co_" in prop else G
+    for rec in v.witnesses:
+        assert rec.rule == "zero-map" and rec.index == 2 * rec.mu
+        # one call per distinct (source, target); the witnesses are the zero
+        # maps each key asked for, by value, and keys with equal objects
+        # hold the very same one
+        assert per_mu[rec.mu] == list(dict.fromkeys(
+            (F.object_at(rec.index), side.object_at(k)) for k in rec.witnesses))
+        by_target = {}
+        for k, u in rec.witnesses.items():
+            assert u == real_zero(F.object_at(rec.index), side.object_at(k))
+            assert by_target.setdefault(u.target, u) is u
+    if prop == "co_movable":
+        # every key of a co search lands in Z: one zero map per mu
+        assert all(len(per_mu[rec.mu]) == 1 < len(rec.witnesses) for rec in v.witnesses)
+
+
 def test_movable_system_refutations():
     F, G, f = example_2_27()
     vF = movable_system(F, H)
