@@ -30,9 +30,18 @@ side and a kind:
     kind     plain (movable, co_movable), strong (strongly_*: adds the
              lambda* equation; lambda is the top of the box, so lambda* =
              lambda and the witness is its right side R_k, checked by one
-             compose; the one-sided problem is solved only to classify a
-             failure), uniform (uniformly_*: the single key top, the
+             compose), uniform (uniformly_*: the single key top, the
              greatest in-range index; a cone is fixed by its top leg)
+
+The deepest key decides refutation.  Factoring through a deeper key implies
+factoring through every shallower one: if L_k o u = f_{mu lambda} and
+k' <= k, then L_{k'} o (p_{k'k} o u) = f_{mu lambda}, because
+L_{k'} o p_{k'k} = L_k on either side (Mardesic & Segal, Shape Theory,
+ch. II).  So mu is refuted exactly when the deepest key deep = Z.top, the
+top of the box or the greatest element, has no solution, and the refutation
+names the first key with none, found by a search down from deep.  Each mu
+asks deep once: a plain or uniform search first, a strong search only when
+some R_k fails, where a solution at deep leaves that key inconclusive.
 """
 
 from __future__ import annotations
@@ -146,20 +155,22 @@ class HorizonError(ValueError):
 
 
 def _keys(z: InverseSystem, low, h: Horizon, uniform: bool, name: str):
-    """(keys, certification limit, extra) of a search at index low of z:
-    every deeper in-range index, of which there must be one, or the single
-    key top, the greatest in-range index, which must lie above low (on a
-    finite poset it is the greatest element, so it always does)."""
+    """(keys, deep, certification limit, extra) of a search at index low of
+    z: every deeper in-range index, of which there must be one, or the
+    single key top, the greatest in-range index, which must lie above low
+    (on a finite poset it is the greatest element, so it always does).
+    deep = z.top(limit) is the deepest key: the top of the box on a
+    sequence, the greatest element on a finite poset."""
     if not uniform:
         keys = z.index.above(low, limit=h.muprime_max)
         if not keys:
             raise HorizonError(
                 f"muprime_max = {h.muprime_max} is below {name} = {low}")
-        return keys, h.muprime_max, {}
+        return keys, z.top(h.muprime_max), h.muprime_max, {}
     top = z.top(h.cone_max)
     if not z.index.leq(low, top):
         raise HorizonError(f"cone depth {h.cone_max} is below {name} = {low}")
-    return [top], h.cone_max, {"cone_top": top}
+    return [top], top, h.cone_max, {"cone_top": top}
 
 
 def _zero_stage(f: SystemMorphism, mu, h: Horizon):
@@ -249,11 +260,50 @@ def _search(prop: str, f: SystemMorphism, h: Horizon, co: bool, kind: str) -> Ve
     return _check(prop, f, h, partial(_search_mu, f, h, co, kind, cache(_solve)))
 
 
+def _refutation(solve, Ls: dict, deep, flam: Morphism, mu, lam, co: bool,
+                kind: str) -> Refutation:
+    """The refutation of mu when L_deep o u = flam has no solution: at the
+    first key k, in key order, where L_k o u = flam has none.
+
+    Ls maps each key k to L_k, in key order.  Solvability is downward closed
+    in k (see _search_mu), so along the chain of a sequence's keys the
+    failing keys end at deep.  The key just below deep is tried first: each
+    default box and each rung of the horizon ladder has muprime_max =
+    lambda_max + 1, so the refuting key is usually deep itself.  Otherwise
+    the keys below it are bisected.  A valid finite input never gets here,
+    as its greatest element solves every key."""
+    keys = list(Ls)
+    hi = keys.index(deep)
+    if hi and solve(Ls[keys[hi - 1]], flam) is None:
+        # keys[hi] has no solution and every key before lo has one
+        lo, hi = 0, hi - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if solve(Ls[keys[mid]], flam) is None:
+                hi = mid
+            else:
+                lo = mid + 1
+    reason = (f"no {'co-' if co else ''}cone top-leg factorization"
+              if kind == _UNIFORM else
+              f"no factorization through the deeper "
+              f"{'restriction' if co else 'bond'}")
+    return Refutation(mu, lam, keys[hi], reason)
+
+
 def _search_mu(f: SystemMorphism, h: Horizon, co: bool, kind: str, solve,
                mu, finite: bool):
     """(status, record) for one mu: a witness w : X_lambda -> Z_k with
     L_k o w = f_{mu lambda} at every key k, plus the lambda* equation of a
-    strong search."""
+    strong search.
+
+    The deepest key decides refutation.  If L_k o u = f_{mu lambda} and
+    k' <= k, then L_{k'} o (p_{k'k} o u) = f_{mu lambda}, as L_{k'} o p_{k'k}
+    = L_k on either side; so the keys with a solution are downward closed,
+    and mu is refuted, at the first key with none, exactly when the deepest
+    key has none (see _refutation).  A plain or uniform search asks deep
+    first and solves the other keys only for their witnesses.  A strong
+    search takes R_k as its witness and asks deep only to classify a key
+    whose R_k fails."""
     x, y = f.source, f.target
     z, low = (x, f.phi(mu)) if co else (y, mu)
     # left(k) = L_k and right(k, lamstar) = the right side of the lambda*
@@ -268,8 +318,8 @@ def _search_mu(f: SystemMorphism, h: Horizon, co: bool, kind: str, solve,
         return x.index.above(lam, k if co else f.phi(k), limit=h.lambda_max)
 
     lam = x.top(h.lambda_max)
-    keys, limit, extra = _keys(z, low, h, kind == _UNIFORM,
-                               "phi(mu)" if co else "mu")
+    keys, deep, limit, extra = _keys(z, low, h, kind == _UNIFORM,
+                                     "phi(mu)" if co else "mu")
 
     # zero-map rule: f_{mu zlam} = 0 is solved by the zero witness at every key
     zlam = None if finite or (co and kind == _STRONG) else _zero_stage(f, mu, h)
@@ -295,45 +345,60 @@ def _search_mu(f: SystemMorphism, h: Horizon, co: bool, kind: str, solve,
             return HOLDS_STABILIZED, rec
 
     flam = restrict(f, mu, lam)
+    # every L_k, built in key order, so each bond and restriction chain
+    # grows by one compose per key
+    Ls = {k: left(k) for k in keys}
+    # a plain or uniform search asks deep at once, and so does a strong one
+    # when deep has no lambda* in range (on a finite poset lam, the greatest
+    # element, is one for every key); any other strong search asks it only
+    # at the first key whose R_k fails
+    asked = kind != _STRONG or not (finite or stars(lam, deep))
+    L_deep = Ls[deep]
+    u = solve(L_deep, flam) if asked else None
+    if asked and u is None:
+        return FAILS_AT_HORIZON, _refutation(solve, Ls, deep, flam, mu, lam, co, kind)
     rec = WitnessRecord(mu, lam, None, extra=dict(extra))
-    inconclusive = False
-    verified = None
-    for k in keys:
-        u = None
-        if kind == _STRONG:
-            # lam is the top of the box, so stars(lam, k) is [lam] or empty;
-            # at lambda* = lam the equation reads w = R_k, the only candidate
+    if kind != _STRONG:
+        # a key whose L_k is the very object last solved (deep's, then the
+        # key before's) reuses its solution: a constant system's L_k are one
+        # memo object, which the solver's cache would compare by value with
+        # deep's equal but distinct L_deep at every key
+        solved = L_deep
+        for k, L in Ls.items():
+            if L is not solved:
+                u, solved = solve(L, flam), L
+            rec.witnesses[k] = u
+        bound = limit
+    else:
+        # lam is the top of the box, so stars(lam, k) is [lam] or empty; at
+        # lambda* = lam the equation reads w = R_k, the only candidate
+        inconclusive = False
+        bound = None
+        for k, L in Ls.items():
             candidates = stars(lam, k)
             if candidates:
                 u = right(k, lam)
-                if morphisms_equal(compose(left(k), u), flam):
+                if morphisms_equal(compose(L, u), flam):
                     rec.extra[k] = {"lambda_star": lam}
-                else:
-                    u = None
-        if u is None:
+                    rec.witnesses[k] = u
+                    bound = k
+                    continue
             # the one-sided equation is implied by the strong one, so its
-            # failure is a genuine refutation even when no lambda* is in
-            # range; a strong search solves it only to classify its failure
-            u = solve(left(k), flam)
-            if u is None:
-                reason = (f"no {'co-' if co else ''}cone top-leg factorization"
-                          if kind == _UNIFORM else
-                          f"no factorization through the deeper "
-                          f"{'restriction' if co else 'bond'}")
-                return FAILS_AT_HORIZON, Refutation(mu, lam, k, reason)
-            if kind == _STRONG:
-                # untestable with every admissible lambda* past the horizon;
-                # otherwise the lambda* quantifier reaches past it, so an
-                # in-range exhaustion proves nothing either way
-                inconclusive |= bool(candidates)
-                continue
-        verified = k
-        rec.witnesses[k] = u
-    if inconclusive:
-        return UNKNOWN, rec
+            # failure at deep refutes mu even when no lambda* is in range
+            if not asked:
+                asked = True
+                if solve(L_deep, flam) is None:
+                    return FAILS_AT_HORIZON, _refutation(
+                        solve, Ls, deep, flam, mu, lam, co, kind)
+            # deep, and so k, is solved: untestable with every admissible
+            # lambda* past the horizon; otherwise the lambda* quantifier
+            # reaches past it, so an in-range exhaustion proves nothing
+            # either way
+            inconclusive |= bool(candidates)
+        if inconclusive:
+            return UNKNOWN, rec
     # certified once the keys cover a full period of the side's system: for
     # a strong search only up to the deepest key that got a witness
-    bound = verified if kind == _STRONG else limit
     if bound is not None and _periodic_covered(z, bound):
         rec.rule = "eventual-periodicity"
         return HOLDS_STABILIZED, rec
@@ -481,16 +546,21 @@ def _c0_search(prop: str, x: InverseSystem, c0_objects, h: Horizon,
 
     def decide(mu, finite):
         probe = x.top(h.lambda_max)
-        keys, limit, extra = _keys(x, mu, h, uniform, "mu")
+        keys, deep, limit, extra = _keys(x, mu, h, uniform, "mu")
         q_probe = x.bond(mu, probe)
-        # the first unsolvable (key, x0, hm), in that order, refutes mu
-        failed = next((Refutation(mu, probe, k, reason)
-                       for k in keys for x0 in c0_objects
-                       for hm in cat.enumerate_homs(x0, x.object_at(probe))
-                       if solve(x.bond(mu, k), compose(q_probe, hm)) is None),
-                      None)
-        if failed is not None:
-            return FAILS_AT_HORIZON, failed
+
+        def refutes(k):
+            # some probe (x0, hm), in that order, has no witness at key k
+            q = x.bond(mu, k)
+            return any(solve(q, compose(q_probe, hm)) is None for x0 in c0_objects
+                       for hm in cat.enumerate_homs(x0, x.object_at(probe)))
+
+        # each probe's solvability is downward closed in k, as in _search_mu:
+        # when deep solves every probe no other key is asked; otherwise the
+        # first unsolvable (key, x0, hm), in that order, refutes mu
+        if refutes(deep):
+            return FAILS_AT_HORIZON, Refutation(
+                mu, probe, next(k for k in keys if refutes(k)), reason)
         if not finite and is_zero_morphism(q_probe):
             return HOLDS_STABILIZED, WitnessRecord(mu, probe, "zero-map", extra=extra)
         if _periodic_covered(x, limit):

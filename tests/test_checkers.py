@@ -457,7 +457,35 @@ def test_strong_search_takes_the_right_side_as_its_witness(monkeypatch):
             witnessed.add((G.object_at(k), G.bond(rec.mu, k)))
     assert witnessed and not one_sided & witnessed
     targets = {t for t, _ in one_sided}
-    assert G.object_at(13) in targets and targets - {G.object_at(13)}
+    # the one-sided question is asked only at the deepest key, once per mu
+    assert targets == {G.object_at(13)} and len(solved) <= H.mu_max + 1
+
+
+def test_a_refuted_mu_costs_at_most_two_solves(monkeypatch):
+    # F fails movability at every mu, at the deepest key 53: the search asks
+    # 53, then 52 to name the refuting key, where a per-key loop would solve
+    # every key from mu to 53
+    solved = _recording_solver(monkeypatch)
+    F = example_2_27()[0]
+    h = Horizon(14, 52, 53, 53)
+    v = movable_system(F, h)
+    assert v.status == FAILS_AT_HORIZON
+    assert v.refutation == Refutation(
+        0, 52, 53, "no factorization through the deeper bond")
+    assert len(solved) <= 2 * (h.mu_max + 1)
+
+
+def test_c0_search_asks_only_the_deepest_key_when_it_solves(monkeypatch):
+    # every probe Z/2 -> G_12 has a witness at the deepest key 13, so no
+    # other key is asked: one problem per mu and probe
+    solved = _recording_solver(monkeypatch)
+    G = example_2_27()[1]
+    assert c0_movable_system(G, [Z(2)], H).status == HOLDS_AT_HORIZON
+    assert {p.L.source for p, _ in solved} == {G.object_at(13)}
+    assert len(solved) <= (H.mu_max + 1) * 2
+    # a refuted mu still names the first key with an unsolvable probe
+    v = c0_movable_system(G, [Z(256)], H)
+    assert v.refutation == Refutation(5, 12, 13, "no relative movability witness")
 
 
 @pytest.mark.parametrize("prop", ["strongly_movable", "strongly_co_movable"])
