@@ -182,15 +182,10 @@ def _zero_stage(f: SystemMorphism, mu, h: Horizon):
 
 
 def _periodic_covered(system: InverseSystem, h_limit: int) -> bool:
-    """True when the system is flagged eventually periodic and the deeper
-    index range covers a full period past the offset, so a uniform in-range
-    outcome extends to the tail (eventual-periodicity rule).  A finite
-    system carrying the flag never gets here: _admit refuses it."""
-    flag = system.flags.eventually_periodic
-    if flag is None:
-        return False
-    off, per = flag
-    return h_limit >= off + per
+    """True when the system is presented and h_limit covers a full period
+    past its offset: a uniform in-range outcome then extends to the tail."""
+    p = system.periodicity
+    return p is not None and h_limit >= sum(p)
 
 
 def _solve(L: Morphism, R: Morphism) -> Optional[Morphism]:
@@ -349,10 +344,9 @@ def _search_mu(f: SystemMorphism, h: Horizon, co: bool, kind: str, solve,
     # grows by one compose per key
     Ls = {k: left(k) for k in keys}
     # a plain or uniform search asks deep at once, and so does a strong one
-    # when deep has no lambda* in range (on a finite poset lam, the greatest
-    # element, is one for every key); any other strong search asks it only
-    # at the first key whose R_k fails
-    asked = kind != _STRONG or not (finite or stars(lam, deep))
+    # when deep has no lambda* in range; any other strong search asks it
+    # only at the first key whose R_k fails
+    asked = kind != _STRONG or not stars(lam, deep)
     L_deep = Ls[deep]
     u = solve(L_deep, flam) if asked else None
     if asked and u is None:
@@ -482,8 +476,8 @@ def mittag_leffler(f: SystemMorphism, h: Horizon = Horizon()) -> Verdict:
             # f_{mu lambda} = f_mu o p_{phi(mu) lambda} with p epi: the image
             # equals image(f_mu) at every stage
             return record(HOLDS_STABILIZED, lams[0], "epimorphic-bondings")
-        if x.flags.eventually_periodic is not None:
-            off, per = x.flags.eventually_periodic
+        if x.periodicity is not None:
+            off, per = x.periodicity
             lam = next((lam for lam in x.index.above(lams[0], off, limit=top - per)
                         if image(lam) == image(lam + per)), None)
             if lam is not None:

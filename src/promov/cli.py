@@ -222,15 +222,16 @@ def system_from_dict(doc: dict, seed_override=None) -> InverseSystem:
 
 
 def _flags_from_dict(d: dict) -> SystemFlags:
-    """An absent or null flag is no flag; all_bondings_epimorphic is a JSON
-    boolean and eventually_periodic a list, which SystemFlags checks."""
-    epi, ep = d.get("all_bondings_epimorphic"), d.get("eventually_periodic")
-    if epi is not None and type(epi) is not bool:
-        raise DocumentError("'all_bondings_epimorphic' must be true or false, "
-                            f"not {epi!r}")
-    if ep is not None:
-        ep = tuple(_dec_int(x) for x in _typed(ep, list, "'eventually_periodic'"))
-    return SystemFlags(all_bondings_epimorphic=bool(epi), eventually_periodic=ep)
+    """all_bondings_epimorphic, a JSON boolean, is the one flag: an absent or
+    null one is false, and any other key is refused by name."""
+    for key, value in d.items():
+        if key != "all_bondings_epimorphic":
+            raise DocumentError(
+                f"unknown flag {key!r}; the only flag is 'all_bondings_epimorphic'")
+        if value is not None and type(value) is not bool:
+            raise DocumentError(
+                f"'all_bondings_epimorphic' must be true or false, not {value!r}")
+    return SystemFlags(all_bondings_epimorphic=bool(d.get("all_bondings_epimorphic")))
 
 
 def morphism_from_doc(doc: dict, seed_override=None) -> SystemMorphism:

@@ -3,7 +3,10 @@
 Everything here is deterministic in its seed: the same spec always produces
 the same instance.  The random families deliberately stay inside the regimes
 where the decision procedures are decisive — finite posets (checked exactly)
-and eventually periodic sequences (the stabilization rules apply).
+and eventually periodic sequences (the stabilization rules apply).  Each
+periodic sequence is built as its finite presentation,
+``InverseSystem.periodic``, so its offset, period and epimorphic flag are
+read off its objects and steps, never declared.
 """
 
 from __future__ import annotations
@@ -76,12 +79,9 @@ def rudimentary(obj) -> InverseSystem:
 
 
 def constant_system(obj) -> InverseSystem:
-    """Identity-bond sequence on one object, flagged periodic with period 1."""
-    return InverseSystem(
-        NAT, object_rule=lambda n: obj, step_rule=lambda n: identity(obj),
-        flags=SystemFlags(all_bondings_epimorphic=True,
-                          eventually_periodic=(0, 1)),
-        name="constant")
+    """Identity-bond sequence on one object: the presentation with offset 0
+    and period 1."""
+    return InverseSystem.periodic([obj], [identity(obj)], 0, name="constant")
 
 
 def constant_poset_system(poset: FiniteDirectedPoset, obj) -> InverseSystem:
@@ -212,29 +212,19 @@ def finite_instance_corpus(seed: int, count: int, backend: str = None) -> list:
 
 def _random_periodic(rng: random.Random, period: int, draw_object,
                      name: str) -> InverseSystem:
-    """Eventually periodic sequence flagged as such: a random offset, then
-    offset + period objects from draw_object() and one random step into each,
-    repeated with the given period past the offset."""
+    """Eventually periodic sequence, presented: a random offset, then
+    offset + period objects from draw_object() and one random step into each."""
     if period < 1:
         raise ValueError(f"period must be at least 1, not {period}")
     off = rng.randrange(3)
-
-    def periodic(items):
-        return lambda n: items[n] if n < off else items[off + (n - off) % period]
-
-    object_rule = periodic([draw_object() for _ in range(off + period)])
-    steps = [_random_hom(rng, object_rule(n + 1), object_rule(n))
-             for n in range(off + period)]
-    epi = all(cat.is_epimorphism(s) for s in steps)
-    return InverseSystem(NAT, object_rule=object_rule, step_rule=periodic(steps),
-                         flags=SystemFlags(all_bondings_epimorphic=epi,
-                                           eventually_periodic=(off, period)),
-                         name=name)
+    objects = [draw_object() for _ in range(off + period)]
+    steps = [_random_hom(rng, a, b) for a, b in zip(objects[1:] + [objects[off]], objects)]
+    return InverseSystem.periodic(objects, steps, off, name=name)
 
 
 def random_set_sequence(seed: int, period: int = 2,
                         max_size: int = 4) -> InverseSystem:
-    """Eventually periodic pointed-set sequence with the periodicity flag."""
+    """Eventually periodic pointed-set sequence."""
     if max_size < 1:
         raise ValueError(f"max_size must be at least 1, not {max_size}")
     rng = random.Random(seed)
@@ -348,6 +338,12 @@ def apply_forgetful(f: SystemMorphism) -> SystemMorphism:
     """Image of an abelian morphism under the forgetful functor to pointed
     sets; only defined when every object in range is finite."""
     def conv_system(x: InverseSystem) -> InverseSystem:
+        if x.periodicity is not None:
+            off, per = x.periodicity
+            return InverseSystem.periodic(
+                [forgetful_object(x.object_at(n)) for n in range(off + per)],
+                [forgetful_to_sets(x.bond(n, n + 1)) for n in range(off + per)],
+                off, name=f"U({x.name})")
         if not is_finite_index(x.index):
             return InverseSystem(
                 NAT,

@@ -2,8 +2,9 @@
 
 Finite-poset systems carry full bond tables and are checked exactly.
 Sequence systems (over the natural-number chain) carry generator rules for
-objects and step bonds; all judgments about them are horizon-bounded.  A
-system morphism's index function phi is a plain callable.
+objects and step bonds, or a finite presentation (InverseSystem.periodic) whose
+periodicity is read off, never declared; all judgments about them are
+horizon-bounded.  A system morphism's index function phi is a plain callable.
 
 Each derived value has one rule and one owner, and is built once.  A system
 keeps its objects, its bonds (the step bonds under (n, n + 1), the
@@ -24,31 +25,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 from . import categories as cat
 from .categories import BackendError, Morphism, Object, compose, identity, morphisms_equal
-from .indexsets import IndexSet, is_finite_index
+from .indexsets import NAT, IndexSet, is_finite_index
 
 
 @dataclass(frozen=True)
 class SystemFlags:
-    """Declared structural facts used by stabilization rules (spot-verified
-    by validate_system up to the working horizon, never assumed silently).
-    A periodicity flag that is not a tuple of two ints, offset >= 0 and
-    period >= 1, is a ValueError: with it the eventual-periodicity rule
-    would certify a tail it never looked at."""
+    """A declared fact for a stabilization rule, spot-checked by validate_system."""
 
     all_bondings_epimorphic: bool = False
-    eventually_periodic: Optional[tuple] = None  # (offset, period)
-
-    def __post_init__(self):
-        ep = self.eventually_periodic
-        if ep is not None and not (
-                isinstance(ep, tuple) and len(ep) == 2
-                and all(type(v) is int for v in ep) and ep[0] >= 0 and ep[1] >= 1):
-            raise ValueError("eventually_periodic must be a tuple (offset, period) "
-                             f"of ints, offset >= 0 and period >= 1, not {ep!r}")
 
 
 class InverseSystem:
@@ -57,14 +45,16 @@ class InverseSystem:
     Finite posets: pass ``objects`` (label -> object) and ``bonds``
     ((lo, hi) -> morphism) for every comparable pair.  Sequences: pass
     ``object_rule`` (n -> object) and ``step_rule`` (n -> morphism
-    X_{n+1} -> X_n).
+    X_{n+1} -> X_n), or an eventually periodic one's data to ``periodic``.
     """
 
     def __init__(self, index: IndexSet, *, objects=None, bonds=None,
                  object_rule: Callable = None, step_rule: Callable = None,
-                 flags: SystemFlags = SystemFlags(), name: str = ""):
+                 flags: SystemFlags = None, name: str = ""):
         self.index = index
-        self.flags = flags
+        self.periodicity = None  # (offset, period) of a presentation
+        if flags is not None:
+            self.flags = flags
         self.name = name
         if is_finite_index(index):
             if objects is None or bonds is None:
@@ -80,6 +70,37 @@ class InverseSystem:
             self._bonds = {}
             self._object_rule = object_rule
             self._step_rule = step_rule
+
+    @classmethod
+    def periodic(cls, objects, steps, offset, name: str = "") -> InverseSystem:
+        """The sequence presented by X_0 ... X_{off+per-1} and the step
+        X_{n+1} -> X_n into each, X_{off+per} being X_off; past off, object
+        and step n are those at off + (n - off) % per.  ValueError for an
+        offset not an int in [0, len(objects)), a step count other than the
+        object count, or a step with wrong endpoints."""
+        if type(offset) is not int or not 0 <= offset < len(objects):
+            raise ValueError(f"offset must be an int in [0, {len(objects)}), not {offset!r}")
+        if len(steps) != len(objects):
+            raise ValueError(f"{len(objects)} objects need as many steps, not {len(steps)}")
+        per = len(objects) - offset
+
+        def cyclic(items):
+            return lambda n: items[n] if n < offset else items[offset + (n - offset) % per]
+
+        object_rule = cyclic(objects)
+        for n, step in enumerate(steps):
+            if step.source != object_rule(n + 1) or step.target != objects[n]:
+                raise ValueError(f"step {n} has wrong endpoints")
+        x = cls(NAT, object_rule=object_rule, step_rule=cyclic(steps), name=name)
+        x.periodicity = (offset, per)
+        return x
+
+    @cached_property
+    def flags(self) -> SystemFlags:
+        """Given to the constructor, else read off a presentation's steps once."""
+        p = self.periodicity
+        return SystemFlags(p is not None and all(
+            cat.is_epimorphism(self._step_rule(n)) for n in range(sum(p))))
 
     def object_at(self, lam) -> Object:
         if self._object_rule is not None:
@@ -184,7 +205,7 @@ def _step_pairs(idx: IndexSet, horizon: int) -> list:
 
 
 def validate_system(x: InverseSystem, horizon: int = 8) -> list:
-    """Identity and functoriality of the bonds; declared flags spot-checked.
+    """Identity and functoriality of the bonds; the epimorphic flag spot-checked.
 
     Exhaustive on finite posets; checked through the horizon on sequences
     (functoriality there holds by construction, steps being the generators).
@@ -216,19 +237,6 @@ def validate_system(x: InverseSystem, horizon: int = 8) -> list:
         for a, b in _step_pairs(idx, horizon):
             if not cat.is_epimorphism(x.bond(a, b)):
                 out.append(f"declared epimorphic, but p[{a!r},{b!r}] is not epi")
-    if x.flags.eventually_periodic is not None:
-        off, per = x.flags.eventually_periodic
-        if is_finite_index(idx):
-            out.append("eventually_periodic flag only applies to sequences")
-        else:
-            for n in range(off, horizon - per):
-                if x.object_at(n) != x.object_at(n + per):
-                    out.append(f"declared periodic, but objects differ at {n} vs {n + per}")
-                    break
-                s1, s2 = x.bond(n, n + 1), x.bond(n + per, n + per + 1)
-                if not morphisms_equal(s1, s2):
-                    out.append(f"declared periodic, but steps differ at {n} vs {n + per}")
-                    break
     return out
 
 

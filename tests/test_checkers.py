@@ -189,7 +189,8 @@ def test_constant_sequence_certifies_everything():
 
 
 def test_eventual_periodicity_rule_requires_flag():
-    # same constant system without flags cannot certify the tail
+    # the same constant system, rule-built rather than presented, has no
+    # periodicity to certify the tail with
     from promov.systems import InverseSystem
     from promov.categories import identity as cat_identity
     bare = InverseSystem(NAT, object_rule=lambda n: Z(2),

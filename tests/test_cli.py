@@ -528,6 +528,9 @@ def _with(**changes):
     return dict(chain_doc(), **changes)
 
 
+UNKNOWN_PERIODIC = ("unknown flag 'eventually_periodic'; "
+                    "the only flag is 'all_bondings_epimorphic'")
+
 MALFORMED = {
     "object spec is a list": (
         _with(objects={"a": [], "b": abelian(4)}),
@@ -552,22 +555,26 @@ MALFORMED = {
         _with(bonds=[["a", "b", dict(abelian_map(abelian(4), abelian(4),
                                                  [["1"]]), matrix=["1"])]]),
         "a matrix row must be a list"),
+    # the one flag is all_bondings_epimorphic: a periodicity flag is refused
+    # by its key, before its value is read, whatever JSON type that has
     "periodicity flag is a string": (
-        _with(flags={"eventually_periodic": "12"}),
-        "'eventually_periodic' must be a list"),
+        _with(flags={"eventually_periodic": "12"}), UNKNOWN_PERIODIC),
     "periodicity flag is 0": (
-        _with(flags={"eventually_periodic": 0}),
-        "'eventually_periodic' must be a list, not int"),
+        _with(flags={"eventually_periodic": 0}), UNKNOWN_PERIODIC),
     "periodicity flag is false": (
-        _with(flags={"eventually_periodic": False}),
-        "'eventually_periodic' must be a list, not bool"),
+        _with(flags={"eventually_periodic": False}), UNKNOWN_PERIODIC),
     "periodicity flag is empty string": (
-        _with(flags={"eventually_periodic": ""}),
-        "'eventually_periodic' must be a list, not str"),
+        _with(flags={"eventually_periodic": ""}), UNKNOWN_PERIODIC),
     "periodicity flag is empty list": (
-        _with(flags={"eventually_periodic": []}),
-        "eventually_periodic must be a tuple (offset, period) of ints, "
-        "offset >= 0 and period >= 1, not ()"),
+        _with(flags={"eventually_periodic": []}), UNKNOWN_PERIODIC),
+    "periodicity flag has period 0": (
+        _with(flags={"eventually_periodic": ["0", "0"]}), UNKNOWN_PERIODIC),
+    "periodicity flag has one entry": (
+        _with(flags={"eventually_periodic": ["3"]}), UNKNOWN_PERIODIC),
+    "misspelled epimorphic flag": (
+        _with(flags={"all_bondings_epimorphc": True}),
+        "unknown flag 'all_bondings_epimorphc'; "
+        "the only flag is 'all_bondings_epimorphic'"),
     "epimorphic flag is a string": (
         _with(flags={"all_bondings_epimorphic": "false"}),
         "'all_bondings_epimorphic' must be true or false, not 'false'"),
@@ -597,14 +604,6 @@ MALFORMED = {
         {"index": {"kind": "nat"}, "family": "set_sequence",
          "params": {"max_size": "0"}},
         "max_size must be at least 1, not 0"),
-    "periodicity flag has period 0": (
-        _with(flags={"eventually_periodic": ["0", "0"]}),
-        "eventually_periodic must be a tuple (offset, period) of ints, "
-        "offset >= 0 and period >= 1, not (0, 0)"),
-    "periodicity flag has one entry": (
-        _with(flags={"eventually_periodic": ["3"]}),
-        "eventually_periodic must be a tuple (offset, period) of ints, "
-        "offset >= 0 and period >= 1, not (3,)"),
     "nat family document carries flags and objects": (
         {"index": {"kind": "nat"}, "family": "constant",
          "params": {"modulus": "4"},

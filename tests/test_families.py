@@ -63,7 +63,7 @@ def test_sequence_corpora_valid():
     for seed in range(15):
         x = random_set_sequence(seed)
         assert validate_system(x) == []
-        assert x.flags.eventually_periodic is not None
+        assert x.periodicity is not None
         y = random_abelian_sequence(seed)
         assert validate_system(y) == []
     for seed in range(15):
@@ -124,8 +124,17 @@ def test_apply_forgetful_valid():
     for m in finite_instance_corpus(6, 6, backend="abelian"):
         um = apply_forgetful(m)
         assert validate_morphism(um) == []
-    um = apply_forgetful(random_sequence_morphism(3, "abelian"))
+    m = random_sequence_morphism(3, "abelian")
+    um = apply_forgetful(m)
     assert validate_morphism(um) == []
+    # a presentation's image is presented, with the same periodicity and flags
+    assert um.source.periodicity == m.source.periodicity is not None
+    assert um.source.flags == m.source.flags
+    # a rule-built sequence's image is rule-built and keeps its declared flags
+    _, G, _ = example_2_27()
+    ug = apply_forgetful(identity_morphism(G))
+    assert ug.source.periodicity is None and ug.source.flags == G.flags
+    assert validate_morphism(ug) == []
 
 
 def test_cofinal_instances_valid():
@@ -179,5 +188,5 @@ def test_a_shape_with_two_upper_covers_is_refused():
 def test_rudimentary_and_constant_shapes():
     assert len(rudimentary(Z(2)).index.members()) == 1
     c = constant_system(Z(2))
-    assert c.flags.eventually_periodic == (0, 1)
+    assert c.periodicity == (0, 1)
     assert validate_system(c) == []

@@ -14,9 +14,9 @@ purpose:
 - a non-functorial 3-chain on Z/4 (q_ab = x2, q_bc = q_ac = 1), also under
   the C0-relative checks.
 
-A finite system flagged eventually periodic is refused the same way, and
-each malformed library call (a shape, size or endpoint that no valid input
-has) raises its own error type and message.
+A finite-poset document flagged eventually periodic is refused at the door
+(exit 2), and each malformed library call (a shape, size or endpoint that no
+valid input has) raises its own error type and message.
 """
 
 import hashlib
@@ -35,20 +35,19 @@ from promov.categories import (
     enumerate_homs,
     forgetful_object,
     identity,
+    zero,
 )
 from promov.checkers import FAILS, HOLDS, PROPERTIES, check
-from promov.cli import EXIT_NEGATIVE, EXIT_PARSE, main, verdict_to_dict
+from promov.cli import EXIT_PARSE, main, verdict_to_dict
 from promov.families import constant_poset_system, constant_system
 from promov.indexsets import FiniteDirectedPoset, NatIndex, validate_poset
 from promov.intlinalg import IntMatrix, solve_congruence_system
 from promov.oracle import oracle_check
 from promov.systems import (
     InverseSystem,
-    SystemFlags,
     SystemMorphism,
     are_equivalent,
     identity_morphism,
-    validate_system,
     violations,
 )
 
@@ -155,14 +154,12 @@ def test_diagonal_bond_that_is_not_the_identity_is_refused_by_every_checker():
 
 
 def test_mixed_index_kinds_are_refused_by_every_checker():
-    # a finite-poset system (here flagged eventually periodic, which only a
-    # sequence may be) into a sequence, and a sequence into a finite-poset
-    # system: the checkers decide one index kind at a time
+    # a finite-poset system into a sequence, and a sequence into a
+    # finite-poset system: the checkers decide one index kind at a time
     chain = FiniteDirectedPoset.chain(("a", "b"))
     x = InverseSystem(chain, objects={"a": Z4, "b": Z4},
                       bonds={(a, b): identity(Z4)
-                             for a in "ab" for b in chain.above(a)},
-                      flags=SystemFlags(eventually_periodic=(0, 1)))
+                             for a in "ab" for b in chain.above(a)})
     y = constant_system(Z4)
     for f in (SystemMorphism(x, y, lambda n: "b",
                              lambda n: identity(Z4)),
@@ -184,22 +181,9 @@ def test_oracle_output_on_invalid_input_is_pinned():
     assert h.hexdigest() == ORACLE_DIGEST
 
 
-def test_finite_system_flagged_periodic_is_refused_by_every_checker(tmp_path):
-    # the flag speaks of a sequence's steps; on a finite poset it is a
-    # violation that promov validate names and every checker refuses with
-    violation = "eventually_periodic flag only applies to sequences"
-    x = InverseSystem(FiniteDirectedPoset.chain(("a", "b")),
-                      objects={"a": Z4, "b": Z4}, bonds={("a", "b"): identity(Z4)},
-                      flags=SystemFlags(eventually_periodic=(0, 1)))
-    assert validate_system(x) == [violation]
-    f = x.identity_morphism
-    _check_all(f, violation)
-    for system_check in (checkers.movable_system, checkers.strongly_movable_system,
-                         checkers.uniformly_movable_system):
-        _assert_refused(f, violation, lambda: system_check(x))
-    for c0_check in (checkers.c0_movable_system,
-                     checkers.c0_uniformly_movable_system):
-        _assert_refused(f, violation, lambda: c0_check(x, [Z(2)]))
+def test_finite_system_flagged_periodic_is_refused_by_every_checker(tmp_path, capsys):
+    # periodicity is read off a sequence's presentation, never declared, so
+    # a periodicity flag is an unknown key, refused before anything is built
     z4 = {"kind": "abelian", "factors": ["4"]}
     doc = {"index": {"kind": "finite", "elements": ["a", "b"],
                      "pairs": [["a", "b"]]},
@@ -209,12 +193,12 @@ def test_finite_system_flagged_periodic_is_refused_by_every_checker(tmp_path):
            "flags": {"eventually_periodic": ["0", "1"]}}
     path = tmp_path / "flagged.json"
     path.write_text(json.dumps(doc))
-    out = io.StringIO()
-    assert main(["validate", str(path)], out) == EXIT_NEGATIVE
-    assert out.getvalue() == f"violation: {violation}\n"
-    out = io.StringIO()
-    assert main(["check", "movable", str(path)], out) == EXIT_PARSE
-    assert out.getvalue() == ""
+    for command in [["validate"]] + [["check", prop] for prop in PROPERTIES]:
+        out = io.StringIO()
+        assert main(command + [str(path)], out) == EXIT_PARSE
+        assert out.getvalue() == ""
+        assert capsys.readouterr().err == ("error: unknown flag 'eventually_periodic'; "
+                                  "the only flag is 'all_bondings_epimorphic'\n")
 
 
 def _poset(labels, rows) -> FiniteDirectedPoset:
@@ -284,6 +268,27 @@ REFUSALS = {
     "bond of a reversed pair on NAT": (
         lambda: constant_system(Z4).bond(5, 3),
         ValueError, "bond requested for reversed pair (5, 3)"),
+    "presentation with a negative offset": (
+        lambda: InverseSystem.periodic([Z4], [identity(Z4)], -1), ValueError,
+        "offset must be an int in [0, 1), not -1"),
+    "presentation with a non-int offset": (
+        lambda: InverseSystem.periodic([Z4], [identity(Z4)], True), ValueError,
+        "offset must be an int in [0, 1), not True"),
+    "presentation with an empty period": (
+        lambda: InverseSystem.periodic([Z4], [identity(Z4)], 1), ValueError,
+        "offset must be an int in [0, 1), not 1"),
+    "presentation with a step too few": (
+        lambda: InverseSystem.periodic([Z4, Z4], [identity(Z4)], 0), ValueError,
+        "2 objects need as many steps, not 1"),
+    "presentation whose last step misses X_offset": (
+        # X_2 is X_1, so the step into X_1 must start at Z/4, not Z/2
+        lambda: InverseSystem.periodic(
+            [Z(2), Z4], [zero(Z4, Z(2)), zero(Z(2), Z4)], 1), ValueError,
+        "step 1 has wrong endpoints"),
+    "presentation with a step into the wrong object": (
+        lambda: InverseSystem.periodic(
+            [Z(2), Z4], [zero(Z4, Z4), identity(Z4)], 1), ValueError,
+        "step 0 has wrong endpoints"),
     "equivalence across endpoints": (
         lambda: are_equivalent(identity_morphism(constant_system(Z4)),
                                identity_morphism(constant_system(Z(2)))),

@@ -49,8 +49,8 @@ def reference_decide(f, h, mu):
     lam, img = chain[0]
     if x.flags.all_bondings_epimorphic and all(img == i for _, i in chain):
         return HOLDS_STABILIZED, lam, "epimorphic-bondings", {"image": img}
-    if x.flags.eventually_periodic is not None:
-        off, per = x.flags.eventually_periodic
+    if x.periodicity is not None:
+        off, per = x.periodicity
         for lam, img in chain:
             if off <= lam and lam + per <= chain[-1][0] and all(
                     img == i for l2, i in chain if lam <= l2 <= lam + per):

@@ -84,25 +84,26 @@ def test_flag_spot_checks():
                       step_rule=lambda n: abelian_scalar(Z(4), 2),
                       flags=SystemFlags(all_bondings_epimorphic=True))
     assert any("not epi" in v for v in validate_system(x))
-    # a declared-periodic system whose steps differ is flagged
-    x = InverseSystem(NAT, object_rule=lambda n: Z(4),
-                      step_rule=lambda n: abelian_scalar(Z(4), n % 3),
-                      flags=SystemFlags(eventually_periodic=(0, 2)))
-    assert any("periodic" in v for v in validate_system(x))
-    # a declared-periodic system whose objects differ is flagged
-    x = InverseSystem(NAT, object_rule=lambda n: Z(n + 1),
-                      step_rule=lambda n: zero(Z(n + 2), Z(n + 1)),
-                      flags=SystemFlags(eventually_periodic=(0, 1)))
-    assert "declared periodic, but objects differ at 0 vs 1" in validate_system(x)
 
 
-def test_a_malformed_periodicity_flag_is_refused():
-    # (Z, x2) is not Mittag-Leffler, but a (0, 0) or negative-offset flag on
-    # it let the eventual-periodicity rule certify it at every mu
-    for flag in [(0, 0), (-1, 1), (3,), (0, 1, 2), ("0", "1"), (True, 1), [0, 1]]:
-        with pytest.raises(ValueError, match="eventually_periodic must be"):
-            SystemFlags(eventually_periodic=flag)
-    assert SystemFlags(eventually_periodic=(2, 1)).eventually_periodic == (2, 1)
+def test_a_presentation_repeats_its_period():
+    # a presentation's periodicity is read off its data: past the offset,
+    # every object and step recurs a period later
+    presented = [constant_system(Z(4)), constant_system(Z(0))]
+    for seed in range(15):
+        for per in (1, 2, 3):
+            presented += [random_set_sequence(seed, period=per),
+                          random_abelian_sequence(seed, period=per)]
+    for x in presented:
+        off, per = x.periodicity
+        for n in range(off, off + 3 * per):
+            assert x.object_at(n) == x.object_at(n + per)
+            assert morphisms_equal(x.bond(n, n + 1), x.bond(n + per, n + per + 1))
+    assert constant_system(Z(4)).periodicity == (0, 1)
+    assert {x.periodicity[1] for x in presented} == {1, 2, 3}
+    assert {x.periodicity[0] for x in presented} == {0, 1, 2}
+    F, G, _ = example_2_27()
+    assert F.periodicity is None and G.periodicity is None
 
 
 def test_step_with_wrong_endpoints_is_named():
