@@ -435,6 +435,8 @@ def _entry_values(a: FgAbelianObject, b: FgAbelianObject) -> list:
 
 def hom_count(a: Object, b: Object) -> Optional[int]:
     """Size of Hom(a, b), or None if infinite."""
+    if type(a) is not type(b):
+        raise BackendError("cannot count homs across backends")
     if isinstance(a, PointedFiniteSet):
         return b.size ** (a.size - 1)
     if 0 in a.factors and 0 in b.factors:

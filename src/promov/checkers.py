@@ -39,9 +39,9 @@ k' <= k, then L_{k'} o (p_{k'k} o u) = f_{mu lambda}, because
 L_{k'} o p_{k'k} = L_k on either side (Mardesic & Segal, Shape Theory,
 ch. II).  So mu is refuted exactly when the deepest key deep = Z.top, the
 top of the box or the greatest element, has no solution, and the refutation
-names the first key with none, found by a search down from deep.  Each mu
-asks deep once: a plain or uniform search first, a strong search only when
-some R_k fails, where a solution at deep leaves that key inconclusive.
+names the first key with none, found by stepping down from deep.  Every
+search asks deep first, except a strong search whose R_deep is defined at
+lambda: that one asks deep only when some key's R_k is no witness.
 """
 
 from __future__ import annotations
@@ -255,6 +255,16 @@ def _search(prop: str, f: SystemMorphism, h: Horizon, co: bool, kind: str) -> Ve
     return _check(prop, f, h, partial(_search_mu, f, h, co, kind, cache(_solve)))
 
 
+def _first_failing(keys, deep, fails):
+    """The first key, in key order, at which fails holds, given that it holds
+    at deep and is upward closed along the keys: a step down from deep for
+    as long as the key below fails too."""
+    i = keys.index(deep)
+    while i and fails(keys[i - 1]):
+        i -= 1
+    return keys[i]
+
+
 def _refutation(solve, Ls: dict, deep, flam: Morphism, mu, lam, co: bool,
                 kind: str) -> Refutation:
     """The refutation of mu when L_deep o u = flam has no solution: at the
@@ -262,27 +272,14 @@ def _refutation(solve, Ls: dict, deep, flam: Morphism, mu, lam, co: bool,
 
     Ls maps each key k to L_k, in key order.  Solvability is downward closed
     in k (see _search_mu), so along the chain of a sequence's keys the
-    failing keys end at deep.  The key just below deep is tried first: each
-    default box and each rung of the horizon ladder has muprime_max =
-    lambda_max + 1, so the refuting key is usually deep itself.  Otherwise
-    the keys below it are bisected.  A valid finite input never gets here,
-    as its greatest element solves every key."""
-    keys = list(Ls)
-    hi = keys.index(deep)
-    if hi and solve(Ls[keys[hi - 1]], flam) is None:
-        # keys[hi] has no solution and every key before lo has one
-        lo, hi = 0, hi - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if solve(Ls[keys[mid]], flam) is None:
-                hi = mid
-            else:
-                lo = mid + 1
+    failing keys end at deep.  A valid finite input never gets here, as its
+    greatest element solves every key."""
+    k = _first_failing(list(Ls), deep, lambda k: solve(Ls[k], flam) is None)
     reason = (f"no {'co-' if co else ''}cone top-leg factorization"
               if kind == _UNIFORM else
               f"no factorization through the deeper "
               f"{'restriction' if co else 'bond'}")
-    return Refutation(mu, lam, keys[hi], reason)
+    return Refutation(mu, lam, k, reason)
 
 
 def _search_mu(f: SystemMorphism, h: Horizon, co: bool, kind: str, solve,
@@ -297,60 +294,51 @@ def _search_mu(f: SystemMorphism, h: Horizon, co: bool, kind: str, solve,
     and mu is refuted, at the first key with none, exactly when the deepest
     key has none (see _refutation).  A plain or uniform search asks deep
     first and solves the other keys only for their witnesses.  A strong
-    search takes R_k as its witness and asks deep only to classify a key
-    whose R_k fails."""
+    search tries R_k at every key where it is defined, and asks deep first
+    only when R_deep is not defined at lambda, else only when some key has
+    no witness."""
     x, y = f.source, f.target
     z, low = (x, f.phi(mu)) if co else (y, mu)
-    # left(k) = L_k and right(k, lamstar) = the right side of the lambda*
-    # equation, on the chosen side
-    if co:
-        left, right = partial(restrict, f, mu), x.bond
-    else:
-        left, right = partial(y.bond, mu), partial(restrict, f)
-
-    def stars(lam, k):
-        # lambda* >= lam and >= the least index R_k is defined at
-        return x.index.above(lam, k if co else f.phi(k), limit=h.lambda_max)
-
     lam = x.top(h.lambda_max)
+    # left(k) = L_k, and right(k) = R_k, the right side of the lambda*
+    # equation at lambda* = lam, on the chosen side
+    if co:
+        left, right = partial(restrict, f, mu), lambda k: x.bond(k, lam)
+    else:
+        left, right = partial(y.bond, mu), lambda k: restrict(f, k, lam)
+
+    def defined(k):
+        # R_k is defined at lam
+        return x.index.leq(k if co else f.phi(k), lam)
+
     keys, deep, limit, extra = _keys(z, low, h, kind == _UNIFORM,
                                      "phi(mu)" if co else "mu")
 
-    # zero-map rule: f_{mu zlam} = 0 is solved by the zero witness at every key
-    zlam = None if finite or (co and kind == _STRONG) else _zero_stage(f, mu, h)
+    # zero-map rule: f_{mu zlam} = 0 is solved by the zero witness at every
+    # key.  It serves no strong search: the lambda* quantifier reaches past
+    # any box, so box data certifies no tail of the strong property
+    zlam = None if finite or kind == _STRONG else _zero_stage(f, mu, h)
     if zlam is not None:
         rec = WitnessRecord(mu, zlam, "zero-map", extra=dict(extra))
         f_zero = restrict(f, mu, zlam)
         # one zero witness per target object: keys share Z_k by value
         zero_to = cache(partial(cat.zero, x.object_at(zlam)))
         for k in keys:
-            if kind == _STRONG:
-                # the zero witness solves the lambda* equation too once the
-                # deeper restriction is itself zero at some lambda*
-                zstar = next((s for s in stars(zlam, k)
-                              if is_zero_morphism(right(k, s))), None)
-                if zstar is None:
-                    break
-                rec.extra[k] = {"lambda_star": zstar}
             u = zero_to(z.object_at(k))
             if not morphisms_equal(compose(left(k), u), f_zero):
                 raise AssertionError(f"zero witness fails at mu = {mu!r}, key {k!r}")
             rec.witnesses[k] = u
-        else:
-            return HOLDS_STABILIZED, rec
+        return HOLDS_STABILIZED, rec
 
     flam = restrict(f, mu, lam)
     # every L_k, built in key order, so each bond and restriction chain
     # grows by one compose per key
     Ls = {k: left(k) for k in keys}
-    # a plain or uniform search asks deep at once, and so does a strong one
-    # when deep has no lambda* in range; any other strong search asks it
-    # only at the first key whose R_k fails
-    asked = kind != _STRONG or not stars(lam, deep)
     L_deep = Ls[deep]
-    u = solve(L_deep, flam) if asked else None
-    if asked and u is None:
-        return FAILS_AT_HORIZON, _refutation(solve, Ls, deep, flam, mu, lam, co, kind)
+    if kind != _STRONG or not defined(deep):
+        u = solve(L_deep, flam)
+        if u is None:
+            return FAILS_AT_HORIZON, _refutation(solve, Ls, deep, flam, mu, lam, co, kind)
     rec = WitnessRecord(mu, lam, None, extra=dict(extra))
     if kind != _STRONG:
         # a key whose L_k is the very object last solved (deep's, then the
@@ -364,33 +352,24 @@ def _search_mu(f: SystemMorphism, h: Horizon, co: bool, kind: str, solve,
             rec.witnesses[k] = u
         bound = limit
     else:
-        # lam is the top of the box, so stars(lam, k) is [lam] or empty; at
-        # lambda* = lam the equation reads w = R_k, the only candidate
-        inconclusive = False
-        bound = None
-        for k, L in Ls.items():
-            candidates = stars(lam, k)
-            if candidates:
-                u = right(k, lam)
-                if morphisms_equal(compose(L, u), flam):
-                    rec.extra[k] = {"lambda_star": lam}
-                    rec.witnesses[k] = u
-                    bound = k
-                    continue
-            # the one-sided equation is implied by the strong one, so its
-            # failure at deep refutes mu even when no lambda* is in range
-            if not asked:
-                asked = True
-                if solve(L_deep, flam) is None:
-                    return FAILS_AT_HORIZON, _refutation(
-                        solve, Ls, deep, flam, mu, lam, co, kind)
-            # deep, and so k, is solved: untestable with every admissible
-            # lambda* past the horizon; otherwise the lambda* quantifier
-            # reaches past it, so an in-range exhaustion proves nothing
-            # either way
-            inconclusive |= bool(candidates)
-        if inconclusive:
+        # lam is the top of the box, so lambda* = lam; there the equation
+        # reads w = R_k, the only candidate
+        for k in filter(defined, keys):
+            u = right(k)
+            if morphisms_equal(compose(Ls[k], u), flam):
+                rec.extra[k] = {"lambda_star": lam}
+                rec.witnesses[k] = u
+        # the one-sided equation is implied by the strong one, so deep with
+        # no solution refutes mu (a repeat ask is a cache hit).  Otherwise a
+        # missing key whose R_k is defined is Unknown, as the lambda*
+        # quantifier reaches past the box; one whose R_k is not defined is
+        # untestable in it
+        missing = [k for k in keys if k not in rec.witnesses]
+        if missing and solve(L_deep, flam) is None:
+            return FAILS_AT_HORIZON, _refutation(solve, Ls, deep, flam, mu, lam, co, kind)
+        if any(map(defined, missing)):
             return UNKNOWN, rec
+        bound = next(reversed(rec.witnesses), None)
     # certified once the keys cover a full period of the side's system: for
     # a strong search only up to the deepest key that got a witness
     if bound is not None and _periodic_covered(z, bound):
@@ -549,12 +528,13 @@ def _c0_search(prop: str, x: InverseSystem, c0_objects, h: Horizon,
             return any(solve(q, compose(q_probe, hm)) is None for x0 in c0_objects
                        for hm in cat.enumerate_homs(x0, x.object_at(probe)))
 
-        # each probe's solvability is downward closed in k, as in _search_mu:
-        # when deep solves every probe no other key is asked; otherwise the
-        # first unsolvable (key, x0, hm), in that order, refutes mu
+        # each probe's solvability is downward closed in k, as in _search_mu,
+        # so the keys that refute are upward closed: when deep solves every
+        # probe no other key is asked; otherwise the first key that refutes
+        # is found by stepping down from deep
         if refutes(deep):
             return FAILS_AT_HORIZON, Refutation(
-                mu, probe, next(k for k in keys if refutes(k)), reason)
+                mu, probe, _first_failing(keys, deep, refutes), reason)
         if not finite and is_zero_morphism(q_probe):
             return HOLDS_STABILIZED, WitnessRecord(mu, probe, "zero-map", extra=extra)
         if _periodic_covered(x, limit):

@@ -16,6 +16,7 @@ from promov.categories import (
     is_zero_morphism,
     morphisms_equal,
     PointedFiniteSet,
+    zero,
 )
 from promov.checkers import (
     HOLDS,
@@ -35,6 +36,7 @@ from promov.checkers import (
     movable_morphism,
     movable_system,
     strongly_movable_morphism,
+    strongly_movable_system,
     uniformly_co_movable_morphism,
     uniformly_movable_morphism,
     uniformly_movable_system,
@@ -145,11 +147,29 @@ def test_strong_movability_horizon_dependence():
     F, G, f = example_2_27()
     # the deeper two-sided witness needs indices past the default horizon
     assert strongly_movable_morphism(f, H).status == UNKNOWN
+    # a wider probe box finds R_k at every key, but no rule certifies the
+    # lambda* quantifier past the box
     wide = Horizon(mu_max=6, lambda_max=30, muprime_max=13, cone_max=13)
-    assert strongly_movable_morphism(f, wide).status == HOLDS_STABILIZED
+    assert strongly_movable_morphism(f, wide).status == HOLDS_AT_HORIZON
     # strong fails where simple already fails
     assert strongly_movable_morphism(
         identity_morphism(F), H).status == FAILS_AT_HORIZON
+
+
+def test_late_doubling_is_not_certified_strongly_movable():
+    # X_n = Z/1 for n <= 13 with zero steps, then (Z, x2) from 14 on.  At
+    # mu = 0 no lambda serves key 14: from lambda <= 13 the witness is 0,
+    # while R_14 is not; from lambda >= 14 it would be 2^(lambda - k), not an
+    # integer for k > lambda.  So the zero map at every mu of the box
+    # certifies no tail
+    def obj(n):
+        return Z(1) if n <= 13 else Z(0)
+
+    x = InverseSystem(NAT, object_rule=obj, step_rule=lambda n: (
+        zero(obj(n + 1), obj(n)) if n < 14 else abelian_scalar(Z(0), 2)))
+    v = strongly_movable_system(x, Horizon(6, 20, 13, 13))
+    assert v.status == HOLDS_AT_HORIZON
+    assert [w.rule for w in v.witnesses] == [None] * 7
 
 
 def test_uniform_movability():
@@ -552,8 +572,8 @@ def test_zero_witness_check_survives_optimize_flag():
         "assert False, 'asserts should be stripped under -O'\n"
         "checkers.morphisms_equal = lambda f, g: False\n"
         "f = example_2_27()[2]\n"
-        "for prop in ('movable', 'strongly_movable', 'uniformly_movable',\n"
-        "             'co_movable', 'uniformly_co_movable'):\n"
+        "for prop in ('movable', 'uniformly_movable', 'co_movable',\n"
+        "             'uniformly_co_movable'):\n"
         "    try:\n"
         "        checkers.check(prop, f)\n"
         "    except AssertionError:\n"

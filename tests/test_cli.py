@@ -107,10 +107,10 @@ def test_check_exit_codes_on_family(tmp_path):
     assert code == EXIT_POSITIVE and "HoldsStabilized" in text
     code, text = run(["check", "strongly_movable", mpath])
     assert code == EXIT_INCONCLUSIVE and "Unknown" in text
-    # widening the probe box upgrades the strong check
+    # widening the probe box upgrades the strong check to holding in the box
     code, text = run(["check", "strongly_movable", mpath,
                       "--horizon-lambda", "30"])
-    assert code == EXIT_POSITIVE and "HoldsStabilized" in text
+    assert code == EXIT_INCONCLUSIVE and "HoldsAtHorizon" in text
 
 
 def test_structured_verdict_round_trips(tmp_path):

@@ -39,7 +39,12 @@ from promov.categories import (
 )
 from promov.checkers import FAILS, HOLDS, PROPERTIES, check
 from promov.cli import EXIT_PARSE, main, verdict_to_dict
-from promov.families import constant_poset_system, constant_system
+from promov.families import (
+    constant_poset_system,
+    constant_system,
+    random_abelian_sequence,
+    random_set_sequence,
+)
 from promov.indexsets import FiniteDirectedPoset, NatIndex, validate_poset
 from promov.intlinalg import IntMatrix, solve_congruence_system
 from promov.oracle import oracle_check
@@ -222,6 +227,18 @@ REFUSALS = {
     "homs from Z to Z": (
         lambda: next(enumerate_homs(Z(0), Z(0))), BackendError,
         "hom-set is infinite"),
+    "homs from a group to a pointed set": (
+        lambda: next(enumerate_homs(Z(2), S2)), BackendError,
+        "cannot count homs across backends"),
+    "homs from a pointed set to a group": (
+        lambda: next(enumerate_homs(S2, Z(2))), BackendError,
+        "cannot count homs across backends"),
+    "C0 probe of the other backend, pointed sets": (
+        lambda: checkers.c0_movable_system(random_set_sequence(3), [Z(2)]),
+        BackendError, "cannot count homs across backends"),
+    "C0 probe of the other backend, groups": (
+        lambda: checkers.c0_movable_system(random_abelian_sequence(5), [S2]),
+        BackendError, "cannot count homs across backends"),
     "homs over the cap": (
         lambda: next(enumerate_homs(PointedFiniteSet(20), S2)), BackendError,
         "hom-set size 524288 exceeds enumeration cap"),

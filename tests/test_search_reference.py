@@ -1,12 +1,13 @@
 """The witness search against a literal per-key reference.
 
 checkers._search_mu decides refutation at the deepest key and, when that
-key has no solution, finds the refuting key by a search down from it.  The
+key has no solution, finds the refuting key by stepping down from it.  The
 reference below solves every key in key order until one fails, as the
 search did before, and the two are compared mu by mu: status, the record
 (index, rule, witnesses and extra, each in key order) and the refutation.
 They share the helpers around the loop (_keys, _zero_stage,
-_periodic_covered, restrict) and the solver.
+_periodic_covered, restrict) and the solver.  The C0 search's refutation is
+compared in the same way with a bottom-up scan of every key.
 """
 
 from __future__ import annotations
@@ -46,8 +47,11 @@ _PLAIN, _STRONG, _UNIFORM = checkers._PLAIN, checkers._STRONG, checkers._UNIFORM
 SEARCHES = [(co, kind) for co in (False, True)
             for kind in (_PLAIN, _STRONG, _UNIFORM)]
 
+# at (6, 30, 13, 13) each key k of example 2.27's f has a zero restriction
+# f_{k lambda*} in range (from lambda* = 2k on), and still the zero map is no
+# rule of a strong search
 BOXES = (Horizon(), Horizon(6, 12, 20, 20), Horizon(10, 30, 31, 31),
-         Horizon(14, 52, 53, 53))
+         Horizon(14, 52, 53, 53), Horizon(6, 30, 13, 13))
 
 
 def reference_search_mu(f, h, co, kind, solve, mu, finite):
@@ -67,22 +71,16 @@ def reference_search_mu(f, h, co, kind, solve, mu, finite):
     keys, _, limit, extra = checkers._keys(z, low, h, kind == _UNIFORM,
                                            "phi(mu)" if co else "mu")
 
-    zlam = None if finite or (co and kind == _STRONG) else checkers._zero_stage(f, mu, h)
+    # the zero-map rule serves the plain and uniform kinds only
+    zlam = None if finite or kind == _STRONG else checkers._zero_stage(f, mu, h)
     if zlam is not None:
         rec = WitnessRecord(mu, zlam, "zero-map", extra=dict(extra))
         f_zero = restrict(f, mu, zlam)
         for k in keys:
-            if kind == _STRONG:
-                zstar = next((s for s in stars(zlam, k)
-                              if cat.is_zero_morphism(right(k, s))), None)
-                if zstar is None:
-                    break
-                rec.extra[k] = {"lambda_star": zstar}
             u = cat.zero(x.object_at(zlam), z.object_at(k))
             assert morphisms_equal(compose(left(k), u), f_zero)
             rec.witnesses[k] = u
-        else:
-            return HOLDS_STABILIZED, rec
+        return HOLDS_STABILIZED, rec
 
     flam = restrict(f, mu, lam)
     rec = WitnessRecord(mu, lam, None, extra=dict(extra))
@@ -153,8 +151,9 @@ def _compare(f, h, fired):
 
 
 def test_example_2_27_matches_the_per_key_reference():
-    # f, F (through 1_F) and G (through 1_G) at four boxes; (6, 12, 20, 20)
-    # refutes F at k = 13, below deep - 1 = 19, so the bisection runs
+    # f, F (through 1_F) and G (through 1_G) at five boxes; (6, 12, 20, 20)
+    # refutes F at k = 13, below deep - 1 = 19, so the step down from deep
+    # passes several keys
     F, G, f = example_2_27()
     fired = set()
     for h in BOXES:
@@ -169,7 +168,7 @@ def test_a_strong_search_refuted_after_a_witness_matches_the_reference():
     # with phi = 0.  It is not coherent (q_{mu k} o f_k = 2^{k - mu}), and
     # the checks accept it, as a sequence input is not validated.  Every key
     # has lambda* = lambda in range; R_k solves only k = mu, so the strong
-    # search asks deep at k = mu + 1 and bisects down to that key
+    # search asks deep and steps down from it to k = mu + 1
     F = example_2_27()[0]
     f = SystemMorphism(constant_system(Z(0)), F, lambda n: 0,
                        lambda n: identity(Z(0)), name="incoherent")
@@ -215,3 +214,29 @@ def test_finite_instances_match_the_per_key_reference():
         _compare(f, Horizon(), fired)
     # the greatest element holds every valid finite input
     assert fired == {HOLDS_AT_HORIZON}
+
+
+def reference_c0_refutation(x, c0_objects, h):
+    """(mu, probe, key) at the first mu with a key that some probe
+    hm : X0 -> X_probe has no witness at, that key found by a bottom-up scan
+    of every deeper key; None when no mu has one."""
+    probe = x.top(h.lambda_max)
+    solve = cache(checkers._solve)
+    for mu in x.index.above(limit=h.mu_max):
+        for k in x.index.above(mu, limit=h.muprime_max):
+            for x0 in c0_objects:
+                for hm in cat.enumerate_homs(x0, x.object_at(probe)):
+                    if solve(x.bond(mu, k), compose(x.bond(mu, probe), hm)) is None:
+                        return mu, probe, k
+    return None
+
+
+def test_c0_refutation_matches_a_bottom_up_scan():
+    # G against Z/256: at (6, 12, 20, 20) mu = 5 is refuted at k = 13, seven
+    # keys below deep = 20; at (6, 8, 20, 20) mu = 1 at k = 9
+    G = example_2_27()[1]
+    for h, expected in ((Horizon(6, 12, 20, 20), (5, 12, 13)),
+                        (Horizon(6, 8, 20, 20), (1, 8, 9))):
+        r = checkers.c0_movable_system(G, [Z(256)], h).refutation
+        assert (r.mu, r.index, r.deeper) == reference_c0_refutation(
+            G, [Z(256)], h) == expected
