@@ -39,7 +39,6 @@ from .intlinalg import IntMatrix, snf, solve_congruence_system
 from .oracle import oracle_check
 from .systems import (
     InverseSystem,
-    SystemFlags,
     SystemMorphism,
     are_equivalent,
     compose_morphisms,

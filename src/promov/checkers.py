@@ -42,6 +42,10 @@ top of the box or the greatest element, has no solution, and the refutation
 names the first key with none, found by stepping down from deep.  Every
 search asks deep first, except a strong search whose R_deep is defined at
 lambda: that one asks deep only when some key's R_k is no witness.
+
+A stabilization rule certifies the tail from the data alone: zero-map from a
+zero restriction, and eventual periodicity when the side's system is a
+presentation of finite objects (_finite_presentation, once per check).
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from . import categories as cat
 from .categories import (
     FactorizationProblem,
     Morphism,
+    PointedFiniteSet,
     compose,
     is_zero_morphism,
     morphisms_equal,
@@ -155,22 +160,22 @@ class HorizonError(ValueError):
 
 
 def _keys(z: InverseSystem, low, h: Horizon, uniform: bool, name: str):
-    """(keys, deep, certification limit, extra) of a search at index low of
-    z: every deeper in-range index, of which there must be one, or the
-    single key top, the greatest in-range index, which must lie above low
-    (on a finite poset it is the greatest element, so it always does).
-    deep = z.top(limit) is the deepest key: the top of the box on a
-    sequence, the greatest element on a finite poset."""
+    """(keys, deep, extra) of a search at index low of z: every deeper
+    in-range index, of which there must be one, or the single key top, the
+    greatest in-range index, which must lie above low (on a finite poset it
+    is the greatest element, so it always does).  deep is the deepest key:
+    the top of the box on a sequence, the greatest element on a finite
+    poset."""
     if not uniform:
         keys = z.index.above(low, limit=h.muprime_max)
         if not keys:
             raise HorizonError(
                 f"muprime_max = {h.muprime_max} is below {name} = {low}")
-        return keys, z.top(h.muprime_max), h.muprime_max, {}
+        return keys, z.top(h.muprime_max), {}
     top = z.top(h.cone_max)
     if not z.index.leq(low, top):
         raise HorizonError(f"cone depth {h.cone_max} is below {name} = {low}")
-    return [top], top, h.cone_max, {"cone_top": top}
+    return [top], top, {"cone_top": top}
 
 
 def _zero_stage(f: SystemMorphism, mu, h: Horizon):
@@ -181,11 +186,23 @@ def _zero_stage(f: SystemMorphism, mu, h: Horizon):
                  if is_zero_morphism(restrict(f, mu, lam))), None)
 
 
-def _periodic_covered(system: InverseSystem, h_limit: int) -> bool:
-    """True when the system is presented and h_limit covers a full period
-    past its offset: a uniform in-range outcome then extends to the tail."""
-    p = system.periodicity
-    return p is not None and h_limit >= sum(p)
+def _finite_presentation(z: InverseSystem) -> bool:
+    """Whether z is a presentation of finite objects: the one rule of
+    eventual periodicity, which certifies z's side of every morphism.
+
+    With offset off, period per and C = p_{off,off+per}, the cofinal subtower
+    at off + k per is (X_off, C).  On a finite X_off the images C^n(X_off)
+    stabilize by n = |X_off| at S, on which C is bijective, so z is
+    pro-isomorphic to the rudimentary S, hence strongly and uniformly movable
+    (Mardesic & Segal, Shape Theory, ch. II).  A movable target makes every
+    morphism into it movable (u = r o f_{mu* lambda}), a movable source every
+    morphism out of it co-movable, and so for the strong and uniform kinds;
+    and a descending chain of finite images stabilizes, so a source that
+    passes is Mittag-Leffler.  No key bound enters: (Z, x2) never passes."""
+    p = z.periodicity
+    return p is not None and all(
+        isinstance(o, PointedFiniteSet) or o.is_finite()
+        for o in map(z.object_at, range(sum(p))))
 
 
 def _solve(L: Morphism, R: Morphism) -> Optional[Morphism]:
@@ -252,7 +269,8 @@ _UNIFORM = "uniform"
 
 
 def _search(prop: str, f: SystemMorphism, h: Horizon, co: bool, kind: str) -> Verdict:
-    return _check(prop, f, h, partial(_search_mu, f, h, co, kind, cache(_solve)))
+    stable = _finite_presentation(f.source if co else f.target)
+    return _check(prop, f, h, partial(_search_mu, f, h, co, kind, cache(_solve), stable))
 
 
 def _first_failing(keys, deep, fails):
@@ -283,10 +301,11 @@ def _refutation(solve, Ls: dict, deep, flam: Morphism, mu, lam, co: bool,
 
 
 def _search_mu(f: SystemMorphism, h: Horizon, co: bool, kind: str, solve,
-               mu, finite: bool):
+               stable: bool, mu, finite: bool):
     """(status, record) for one mu: a witness w : X_lambda -> Z_k with
     L_k o w = f_{mu lambda} at every key k, plus the lambda* equation of a
-    strong search.
+    strong search.  Unless refuted or Unknown, mu is HoldsStabilized when
+    stable, z being a presentation of finite objects, else HoldsAtHorizon.
 
     The deepest key decides refutation.  If L_k o u = f_{mu lambda} and
     k' <= k, then L_{k'} o (p_{k'k} o u) = f_{mu lambda}, as L_{k'} o p_{k'k}
@@ -311,8 +330,7 @@ def _search_mu(f: SystemMorphism, h: Horizon, co: bool, kind: str, solve,
         # R_k is defined at lam
         return x.index.leq(k if co else f.phi(k), lam)
 
-    keys, deep, limit, extra = _keys(z, low, h, kind == _UNIFORM,
-                                     "phi(mu)" if co else "mu")
+    keys, deep, extra = _keys(z, low, h, kind == _UNIFORM, "phi(mu)" if co else "mu")
 
     # zero-map rule: f_{mu zlam} = 0 is solved by the zero witness at every
     # key.  It serves no strong search: the lambda* quantifier reaches past
@@ -350,7 +368,6 @@ def _search_mu(f: SystemMorphism, h: Horizon, co: bool, kind: str, solve,
             if L is not solved:
                 u, solved = solve(L, flam), L
             rec.witnesses[k] = u
-        bound = limit
     else:
         # lam is the top of the box, so lambda* = lam; there the equation
         # reads w = R_k, the only candidate
@@ -369,10 +386,7 @@ def _search_mu(f: SystemMorphism, h: Horizon, co: bool, kind: str, solve,
             return FAILS_AT_HORIZON, _refutation(solve, Ls, deep, flam, mu, lam, co, kind)
         if any(map(defined, missing)):
             return UNKNOWN, rec
-        bound = next(reversed(rec.witnesses), None)
-    # certified once the keys cover a full period of the side's system: for
-    # a strong search only up to the deepest key that got a witness
-    if bound is not None and _periodic_covered(z, bound):
+    if stable:
         rec.rule = "eventual-periodicity"
         return HOLDS_STABILIZED, rec
     return HOLDS_AT_HORIZON, rec
@@ -428,9 +442,11 @@ def mittag_leffler(f: SystemMorphism, h: Horizon = Horizon()) -> Verdict:
 
     Failure is a genuinely infinite statement, so sequences never get
     FailsAtHorizon: a chain still strictly decreasing at the horizon is
-    reported as Unknown together with the chain.
+    reported as Unknown together with the chain.  Eventual periodicity is
+    tried only on a presentation of finite objects (_finite_presentation).
     """
     x = f.source
+    stable = _finite_presentation(x)
     notes = []
 
     def decide(mu, finite):
@@ -451,11 +467,11 @@ def mittag_leffler(f: SystemMorphism, h: Horizon = Horizon()) -> Verdict:
         if zlam is not None:
             # a descending chain through the basepoint stays trivial
             return record(HOLDS_STABILIZED, zlam, "zero-image")
-        if x.flags.all_bondings_epimorphic and image(lams[0]) == image(top):
+        if x.all_bondings_epimorphic and image(lams[0]) == image(top):
             # f_{mu lambda} = f_mu o p_{phi(mu) lambda} with p epi: the image
             # equals image(f_mu) at every stage
             return record(HOLDS_STABILIZED, lams[0], "epimorphic-bondings")
-        if x.periodicity is not None:
+        if stable:
             off, per = x.periodicity
             lam = next((lam for lam in x.index.above(lams[0], off, limit=top - per)
                         if image(lam) == image(lam + per)), None)
@@ -515,11 +531,12 @@ def _c0_search(prop: str, x: InverseSystem, c0_objects, h: Horizon,
                       lambda mu, finite: (HOLDS_STABILIZED, None),
                       notes=["vacuous: empty probe class"])
     solve = cache(_solve)
+    stable = _finite_presentation(x)
     reason = "no relative cone top-leg" if uniform else "no relative movability witness"
 
     def decide(mu, finite):
         probe = x.top(h.lambda_max)
-        keys, deep, limit, extra = _keys(x, mu, h, uniform, "mu")
+        keys, deep, extra = _keys(x, mu, h, uniform, "mu")
         q_probe = x.bond(mu, probe)
 
         def refutes(k):
@@ -537,7 +554,7 @@ def _c0_search(prop: str, x: InverseSystem, c0_objects, h: Horizon,
                 mu, probe, _first_failing(keys, deep, refutes), reason)
         if not finite and is_zero_morphism(q_probe):
             return HOLDS_STABILIZED, WitnessRecord(mu, probe, "zero-map", extra=extra)
-        if _periodic_covered(x, limit):
+        if stable:
             return HOLDS_STABILIZED, WitnessRecord(
                 mu, probe, "eventual-periodicity", extra=extra)
         return HOLDS_AT_HORIZON, WitnessRecord(mu, probe, None, extra=extra)

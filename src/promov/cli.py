@@ -4,9 +4,10 @@ Document format (JSON): top-level keys ``backend`` ("abelian" |
 "pointed_set"), ``index`` ({"kind": "finite", "elements": [...], "pairs":
 [...]} or {"kind": "nat"}), then either explicit ``objects`` / ``bonds``
 tables (finite posets) or ``family`` + ``params`` + ``seed`` (sequences),
-optional ``flags``, optional ``target`` (a nested system document) and
-``morphism`` {"phi": table, "f": table}.  All integers are decimal strings
-so arbitrary precision survives the round trip.
+optional ``target`` (a nested system document) and ``morphism`` {"phi":
+table, "f": table}.  No document carries ``flags``: a system's facts are
+read off its tables or set by its family.  All integers are decimal
+strings so arbitrary precision survives the round trip.
 
 Exit codes: 0 Holds/HoldsStabilized, 1 Fails/FailsAtHorizon, 2 input or
 parse error, 3 Unknown/HoldsAtHorizon, 4 internal error (any other exception,
@@ -33,7 +34,6 @@ from .intlinalg import IntMatrix
 from .oracle import OracleCapExceeded, oracle_check
 from .systems import (
     InverseSystem,
-    SystemFlags,
     SystemMorphism,
     are_equivalent,
     compose_morphisms,
@@ -174,8 +174,8 @@ def _table(doc: dict, key: str, width: int, default=None, labels=0) -> list:
 
 def _build_family(doc: dict, seed_override):
     """What the family named by a nat-index document builds: a system or
-    an (F, G, f) triple.  The family sets its own objects, bonds and flags,
-    so a document that also carries them is refused."""
+    an (F, G, f) triple.  The family sets its own objects and bonds, and no
+    document carries flags, so a document that carries any is refused."""
     stray = [key for key in ("flags", "objects", "bonds") if key in doc]
     if stray:
         raise DocumentError(
@@ -192,6 +192,9 @@ def system_from_dict(doc: dict, seed_override=None) -> InverseSystem:
     index = _index_doc(doc)
     kind = index.get("kind")
     if kind == "finite":
+        if "flags" in doc:
+            raise DocumentError("a finite document cannot carry 'flags'; "
+                                "its facts are read off its tables")
         poset = FiniteDirectedPoset.from_pairs(
             tuple(_label(x, "an entry of 'elements'")
                   for x in _field(index, "elements", list)),
@@ -208,8 +211,7 @@ def system_from_dict(doc: dict, seed_override=None) -> InverseSystem:
             for b in poset.above(a):
                 if a != b and (a, b) not in bonds:
                     raise DocumentError(f"missing bond for pair ({a!r}, {b!r})")
-        flags = _flags_from_dict(_field(doc, "flags", dict, {}))
-        return InverseSystem(poset, objects=objects, bonds=bonds, flags=flags,
+        return InverseSystem(poset, objects=objects, bonds=bonds,
                              name=doc.get("name", "document"))
     if kind == "nat":
         built = _build_family(doc, seed_override)
@@ -219,19 +221,6 @@ def system_from_dict(doc: dict, seed_override=None) -> InverseSystem:
                 "use it at the top level, not as a bare system")
         return built
     raise DocumentError(f"unknown index kind {kind!r}")
-
-
-def _flags_from_dict(d: dict) -> SystemFlags:
-    """all_bondings_epimorphic, a JSON boolean, is the one flag: an absent or
-    null one is false, and any other key is refused by name."""
-    for key, value in d.items():
-        if key != "all_bondings_epimorphic":
-            raise DocumentError(
-                f"unknown flag {key!r}; the only flag is 'all_bondings_epimorphic'")
-        if value is not None and type(value) is not bool:
-            raise DocumentError(
-                f"'all_bondings_epimorphic' must be true or false, not {value!r}")
-    return SystemFlags(all_bondings_epimorphic=bool(d.get("all_bondings_epimorphic")))
 
 
 def morphism_from_doc(doc: dict, seed_override=None) -> SystemMorphism:

@@ -30,7 +30,6 @@ from .indexsets import NAT, FiniteDirectedPoset, is_finite_index
 from .intlinalg import IntMatrix
 from .systems import (
     InverseSystem,
-    SystemFlags,
     SystemMorphism,
     compose_morphisms,
     identity_morphism,
@@ -62,7 +61,7 @@ def example_2_27():
                       step_rule=lambda n: abelian_scalar(Z(0), 2), name="F")
     G = InverseSystem(NAT, object_rule=lambda n: Z(2 ** n),
                       step_rule=lambda n: _reduction(Z(2 ** (n + 1)), Z(2 ** n)),
-                      flags=SystemFlags(all_bondings_epimorphic=True), name="G")
+                      all_bondings_epimorphic=True, name="G")
     f = SystemMorphism(F, G, _same, lambda n: _reduction(Z(0), Z(2 ** n)), name="f")
     return F, G, f
 
@@ -349,13 +348,12 @@ def apply_forgetful(f: SystemMorphism) -> SystemMorphism:
                 NAT,
                 object_rule=lambda n: forgetful_object(x.object_at(n)),
                 step_rule=lambda n: forgetful_to_sets(x.bond(n, n + 1)),
-                flags=x.flags, name=f"U({x.name})")
+                all_bondings_epimorphic=x.all_bondings_epimorphic, name=f"U({x.name})")
         objects = {lam: forgetful_object(x.object_at(lam))
                    for lam in x.index.members()}
         bonds = {(a, b): forgetful_to_sets(x.bond(a, b))
                  for a in x.index.members() for b in x.index.above(a)}
-        return InverseSystem(x.index, objects=objects, bonds=bonds,
-                             flags=x.flags, name=f"U({x.name})")
+        return InverseSystem(x.index, objects=objects, bonds=bonds, name=f"U({x.name})")
 
     ux, uy = conv_system(f.source), conv_system(f.target)
     return SystemMorphism(ux, uy, f.phi,

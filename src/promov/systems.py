@@ -3,7 +3,7 @@
 Finite-poset systems carry full bond tables and are checked exactly.
 Sequence systems (over the natural-number chain) carry generator rules for
 objects and step bonds, or a finite presentation (InverseSystem.periodic) whose
-periodicity is read off, never declared; all judgments about them are
+periodicity and epimorphy are read off; all judgments about them are
 horizon-bounded.  A system morphism's index function phi is a plain callable.
 
 Each derived value has one rule and one owner, and is built once.  A system
@@ -23,20 +23,12 @@ compose exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 from . import categories as cat
 from .categories import BackendError, Morphism, Object, compose, identity, morphisms_equal
 from .indexsets import NAT, IndexSet, is_finite_index
-
-
-@dataclass(frozen=True)
-class SystemFlags:
-    """A declared fact for a stabilization rule, spot-checked by validate_system."""
-
-    all_bondings_epimorphic: bool = False
 
 
 class InverseSystem:
@@ -50,12 +42,14 @@ class InverseSystem:
 
     def __init__(self, index: IndexSet, *, objects=None, bonds=None,
                  object_rule: Callable = None, step_rule: Callable = None,
-                 flags: SystemFlags = None, name: str = ""):
+                 all_bondings_epimorphic: bool = None, name: str = ""):
         self.index = index
         self.periodicity = None  # (offset, period) of a presentation
-        if flags is not None:
-            self.flags = flags
         self.name = name
+        if all_bondings_epimorphic is not None:
+            if is_finite_index(index):
+                raise ValueError("only a rule-built sequence declares epimorphy")
+            self.all_bondings_epimorphic = all_bondings_epimorphic
         if is_finite_index(index):
             if objects is None or bonds is None:
                 raise ValueError("finite-poset systems need objects and bonds tables")
@@ -96,11 +90,13 @@ class InverseSystem:
         return x
 
     @cached_property
-    def flags(self) -> SystemFlags:
-        """Given to the constructor, else read off a presentation's steps once."""
+    def all_bondings_epimorphic(self) -> bool:
+        """Declared to the constructor by a rule-built sequence only (and
+        spot-checked by validate_system), else read off a presentation's
+        steps once; false on every other system."""
         p = self.periodicity
-        return SystemFlags(p is not None and all(
-            cat.is_epimorphism(self._step_rule(n)) for n in range(sum(p))))
+        return p is not None and all(
+            cat.is_epimorphism(self._step_rule(n)) for n in range(sum(p)))
 
     def object_at(self, lam) -> Object:
         if self._object_rule is not None:
@@ -205,7 +201,8 @@ def _step_pairs(idx: IndexSet, horizon: int) -> list:
 
 
 def validate_system(x: InverseSystem, horizon: int = 8) -> list:
-    """Identity and functoriality of the bonds; the epimorphic flag spot-checked.
+    """Identity and functoriality of the bonds; a rule-built sequence's
+    declared epimorphy spot-checked (a presentation's is read off).
 
     Exhaustive on finite posets; checked through the horizon on sequences
     (functoriality there holds by construction, steps being the generators).
@@ -229,14 +226,13 @@ def validate_system(x: InverseSystem, horizon: int = 8) -> list:
                     if not morphisms_equal(lhs, x.bond(a, c)):
                         out.append(f"functoriality violation at ({a!r},{b!r},{c!r})")
     else:
+        declared = x.periodicity is None and x.all_bondings_epimorphic
         for n in range(horizon):
             step = x.bond(n, n + 1)
             if step.source != x.object_at(n + 1) or step.target != x.object_at(n):
                 out.append(f"step bond at {n} has wrong endpoints")
-    if x.flags.all_bondings_epimorphic:
-        for a, b in _step_pairs(idx, horizon):
-            if not cat.is_epimorphism(x.bond(a, b)):
-                out.append(f"declared epimorphic, but p[{a!r},{b!r}] is not epi")
+            elif declared and not cat.is_epimorphism(step):
+                out.append(f"declared epimorphic, but p[{n!r},{n + 1!r}] is not epi")
     return out
 
 

@@ -9,6 +9,8 @@ import pytest
 import promov
 from promov import categories, checkers
 from promov.categories import (
+    FgAbelianMorphism,
+    FgAbelianObject,
     Z,
     abelian_scalar,
     compose,
@@ -50,6 +52,7 @@ from promov.families import (
     rudimentary,
 )
 from promov.indexsets import NAT, FiniteDirectedPoset
+from promov.intlinalg import IntMatrix
 from promov.oracle import oracle_check
 from promov.systems import (
     InverseSystem,
@@ -170,6 +173,34 @@ def test_late_doubling_is_not_certified_strongly_movable():
     v = strongly_movable_system(x, Horizon(6, 20, 13, 13))
     assert v.status == HOLDS_AT_HORIZON
     assert [w.rule for w in v.witnesses] == [None] * 7
+
+
+def test_a_presentation_of_z_is_not_certified_by_its_period():
+    # (Z, x2) presented with offset 0 and period 1 is not movable.  With
+    # lambda_max >= muprime_max the first key with no witness, lambda + 1,
+    # lies past the box, and a period of infinite objects certifies no tail
+    x = InverseSystem.periodic([Z(0)], [abelian_scalar(Z(0), 2)], 0)
+    for system_check in (movable_system, strongly_movable_system,
+                         uniformly_movable_system):
+        assert system_check(x, Horizon(6, 20, 13, 13)).status == HOLDS_AT_HORIZON
+    for system_check in (movable_system, strongly_movable_system):
+        assert system_check(x, Horizon(0, 12, 5, 13)).status == HOLDS_AT_HORIZON
+
+
+def test_mittag_leffler_is_not_certified_by_the_period_of_z_squared():
+    # X = (Z^2, C), C = [[2, 0], [1, 0]], into example 2.27's F by
+    # f_n = (0 1).  At mu = 0 the image chain (0 1) C^lam (Z^2) is Z, Z, 2Z,
+    # 4Z, ...: its first period repeats, yet it never stabilizes
+    z2 = FgAbelianObject((0, 0))
+    c = FgAbelianMorphism(z2, z2, IntMatrix.from_rows([[2, 0], [1, 0]]))
+    f = SystemMorphism(InverseSystem.periodic([z2], [c], 0), example_2_27()[0],
+                       lambda n: n,
+                       lambda n: FgAbelianMorphism(z2, Z(0), IntMatrix.from_rows([[0, 1]])))
+    assert violations(f) == []
+    for h in (H, Horizon(14, 52, 53, 53)):
+        v = mittag_leffler(f, h)
+        assert v.status == UNKNOWN
+        assert v.witnesses[0].extra["chain"][:4] == (((1,),), ((1,),), ((2,),), ((4,),))
 
 
 def test_uniform_movability():

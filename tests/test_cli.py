@@ -528,8 +528,8 @@ def _with(**changes):
     return dict(chain_doc(), **changes)
 
 
-UNKNOWN_PERIODIC = ("unknown flag 'eventually_periodic'; "
-                    "the only flag is 'all_bondings_epimorphic'")
+FLAGS = ("a finite document cannot carry 'flags'; "
+         "its facts are read off its tables")
 
 MALFORMED = {
     "object spec is a list": (
@@ -555,32 +555,28 @@ MALFORMED = {
         _with(bonds=[["a", "b", dict(abelian_map(abelian(4), abelian(4),
                                                  [["1"]]), matrix=["1"])]]),
         "a matrix row must be a list"),
-    # the one flag is all_bondings_epimorphic: a periodicity flag is refused
-    # by its key, before its value is read, whatever JSON type that has
+    # no document carries flags: a finite one is refused for carrying any,
+    # before a key or value in them is read, whatever JSON type that has
     "periodicity flag is a string": (
-        _with(flags={"eventually_periodic": "12"}), UNKNOWN_PERIODIC),
+        _with(flags={"eventually_periodic": "12"}), FLAGS),
     "periodicity flag is 0": (
-        _with(flags={"eventually_periodic": 0}), UNKNOWN_PERIODIC),
+        _with(flags={"eventually_periodic": 0}), FLAGS),
     "periodicity flag is false": (
-        _with(flags={"eventually_periodic": False}), UNKNOWN_PERIODIC),
+        _with(flags={"eventually_periodic": False}), FLAGS),
     "periodicity flag is empty string": (
-        _with(flags={"eventually_periodic": ""}), UNKNOWN_PERIODIC),
+        _with(flags={"eventually_periodic": ""}), FLAGS),
     "periodicity flag is empty list": (
-        _with(flags={"eventually_periodic": []}), UNKNOWN_PERIODIC),
+        _with(flags={"eventually_periodic": []}), FLAGS),
     "periodicity flag has period 0": (
-        _with(flags={"eventually_periodic": ["0", "0"]}), UNKNOWN_PERIODIC),
+        _with(flags={"eventually_periodic": ["0", "0"]}), FLAGS),
     "periodicity flag has one entry": (
-        _with(flags={"eventually_periodic": ["3"]}), UNKNOWN_PERIODIC),
+        _with(flags={"eventually_periodic": ["3"]}), FLAGS),
     "misspelled epimorphic flag": (
-        _with(flags={"all_bondings_epimorphc": True}),
-        "unknown flag 'all_bondings_epimorphc'; "
-        "the only flag is 'all_bondings_epimorphic'"),
+        _with(flags={"all_bondings_epimorphc": True}), FLAGS),
     "epimorphic flag is a string": (
-        _with(flags={"all_bondings_epimorphic": "false"}),
-        "'all_bondings_epimorphic' must be true or false, not 'false'"),
+        _with(flags={"all_bondings_epimorphic": "false"}), FLAGS),
     "epimorphic flag is 0": (
-        _with(flags={"all_bondings_epimorphic": 0}),
-        "'all_bondings_epimorphic' must be true or false, not 0"),
+        _with(flags={"all_bondings_epimorphic": 0}), FLAGS),
     "index element is a list": (
         _with(index={"kind": "finite", "elements": [["a"], "b"], "pairs": []}),
         "an entry of 'elements' must be a string or a number, not list"),

@@ -38,7 +38,7 @@ def test_example_2_27_shape():
     assert G.object_at(3).factors == (8,)
     assert F.bond(1, 4).matrix.at(0, 0) == 8
     assert f.f(1).target.factors == (2,)
-    assert G.flags.all_bondings_epimorphic
+    assert G.all_bondings_epimorphic
     assert validate_system(F) == [] and validate_system(G) == []
     assert validate_morphism(f) == []
 
@@ -80,12 +80,12 @@ def test_sequence_determinism():
 
 
 def test_flags_are_computed_not_assumed():
-    # epimorphy flag must match the actual steps on every seed
+    # a presentation's epimorphy must match its actual steps on every seed
     from promov.categories import is_epimorphism
     for seed in range(20):
         x = random_set_sequence(seed)
         actual = all(is_epimorphism(x.bond(n, n + 1)) for n in range(12))
-        assert x.flags.all_bondings_epimorphic == actual
+        assert x.all_bondings_epimorphic == actual
 
 
 def test_perturb_equivalent():
@@ -127,13 +127,15 @@ def test_apply_forgetful_valid():
     m = random_sequence_morphism(3, "abelian")
     um = apply_forgetful(m)
     assert validate_morphism(um) == []
-    # a presentation's image is presented, with the same periodicity and flags
+    # a presentation's image is presented, with the same periodicity and
+    # epimorphy, read off its own steps
     assert um.source.periodicity == m.source.periodicity is not None
-    assert um.source.flags == m.source.flags
-    # a rule-built sequence's image is rule-built and keeps its declared flags
+    assert um.source.all_bondings_epimorphic == m.source.all_bondings_epimorphic
+    # a rule-built sequence's image is rule-built and keeps its declared
+    # epimorphy
     _, G, _ = example_2_27()
     ug = apply_forgetful(identity_morphism(G))
-    assert ug.source.periodicity is None and ug.source.flags == G.flags
+    assert ug.source.periodicity is None and ug.source.all_bondings_epimorphic
     assert validate_morphism(ug) == []
 
 

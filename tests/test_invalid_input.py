@@ -14,8 +14,8 @@ purpose:
 - a non-functorial 3-chain on Z/4 (q_ab = x2, q_bc = q_ac = 1), also under
   the C0-relative checks.
 
-A finite-poset document flagged eventually periodic is refused at the door
-(exit 2), and each malformed library call (a shape, size or endpoint that no
+A finite-poset document that carries flags is refused at the door (exit 2),
+and each malformed library call (a shape, size or endpoint that no
 valid input has) raises its own error type and message.
 """
 
@@ -187,8 +187,8 @@ def test_oracle_output_on_invalid_input_is_pinned():
 
 
 def test_finite_system_flagged_periodic_is_refused_by_every_checker(tmp_path, capsys):
-    # periodicity is read off a sequence's presentation, never declared, so
-    # a periodicity flag is an unknown key, refused before anything is built
+    # periodicity and epimorphy are read off a system, never declared, so a
+    # document that carries flags is refused before anything is built
     z4 = {"kind": "abelian", "factors": ["4"]}
     doc = {"index": {"kind": "finite", "elements": ["a", "b"],
                      "pairs": [["a", "b"]]},
@@ -202,8 +202,8 @@ def test_finite_system_flagged_periodic_is_refused_by_every_checker(tmp_path, ca
         out = io.StringIO()
         assert main(command + [str(path)], out) == EXIT_PARSE
         assert out.getvalue() == ""
-        assert capsys.readouterr().err == ("error: unknown flag 'eventually_periodic'; "
-                                  "the only flag is 'all_bondings_epimorphic'\n")
+        assert capsys.readouterr().err == ("error: a finite document cannot carry "
+                                           "'flags'; its facts are read off its tables\n")
 
 
 def _poset(labels, rows) -> FiniteDirectedPoset:
@@ -270,6 +270,11 @@ REFUSALS = {
         lambda: InverseSystem(FiniteDirectedPoset.chain(("a",)),
                               objects={"a": Z4}),
         ValueError, "finite-poset systems need objects and bonds tables"),
+    "epimorphy declared with tables": (
+        lambda: InverseSystem(FiniteDirectedPoset.chain(("a",)),
+                              objects={"a": Z4}, bonds={("a", "a"): identity(Z4)},
+                              all_bondings_epimorphic=True),
+        ValueError, "only a rule-built sequence declares epimorphy"),
     "sequence system without rules": (
         lambda: InverseSystem(NatIndex(), object_rule=lambda n: Z4), ValueError,
         "sequence systems need object and step rules"),

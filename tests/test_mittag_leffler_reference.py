@@ -3,14 +3,22 @@
 The checker reads the descending image chain f_{mu lambda}(X_lambda) by the
 ends of a stretch and computes each image on demand.  The reference below
 computes every image of the chain and tests each rule with its own scan, so
-the two share only restrict and image_subobject.
+the two share only restrict and image_subobject.  Its eventual-periodicity
+scan runs only on a presentation of finite objects, written out here too.
 """
 
 from __future__ import annotations
 
 from promov import categories as cat
 from promov import checkers
-from promov.categories import Z, abelian_scalar, image_subobject, zero
+from promov.categories import (
+    FgAbelianMorphism,
+    FgAbelianObject,
+    Z,
+    abelian_scalar,
+    image_subobject,
+    zero,
+)
 from promov.checkers import (
     HOLDS,
     HOLDS_AT_HORIZON,
@@ -26,9 +34,17 @@ from promov.families import (
     random_sequence_morphism,
 )
 from promov.indexsets import NAT, is_finite_index
-from promov.systems import InverseSystem, identity_morphism, restrict
+from promov.intlinalg import IntMatrix
+from promov.systems import InverseSystem, SystemMorphism, identity_morphism, restrict
 
 BOXES = (Horizon(), Horizon(6, 20, 13, 13), Horizon(10, 30, 31, 31))
+
+
+def _finite_presentation(x) -> bool:
+    # a presentation none of whose objects has a Z summand
+    p = x.periodicity
+    return p is not None and all(
+        0 not in getattr(x.object_at(n), "factors", ()) for n in range(sum(p)))
 
 
 def reference_decide(f, h, mu):
@@ -47,9 +63,9 @@ def reference_decide(f, h, mu):
         if img == trivial:
             return HOLDS_STABILIZED, lam, "zero-image", {"image": img}
     lam, img = chain[0]
-    if x.flags.all_bondings_epimorphic and all(img == i for _, i in chain):
+    if x.all_bondings_epimorphic and all(img == i for _, i in chain):
         return HOLDS_STABILIZED, lam, "epimorphic-bondings", {"image": img}
-    if x.periodicity is not None:
+    if _finite_presentation(x):
         off, per = x.periodicity
         for lam, img in chain:
             if off <= lam and lam + per <= chain[-1][0] and all(
@@ -84,10 +100,17 @@ def _sequence_corpus():
     for family in ("abelian_sequence", "set_sequence"):
         for seed in range(32):
             yield identity_morphism(build_family(family, seed=seed))
-    # every random sequence and ladder family is flagged eventually
-    # periodic, and example 2.27 is decided by the other rules, so only an
-    # unflagged system reaches the horizon rule
+    # every random sequence and ladder family is a presentation of finite
+    # objects, and example 2.27 is decided by the other rules, so only a
+    # rule-built system reaches the horizon rule
     yield identity_morphism(_unflagged_z6())
+    # a presentation of Z^2 whose image chain repeats its first period and
+    # never stabilizes: Z, Z, 2Z, 4Z, ...
+    z2 = FgAbelianObject((0, 0))
+    c = FgAbelianMorphism(z2, z2, IntMatrix.from_rows([[2, 0], [1, 0]]))
+    yield SystemMorphism(InverseSystem.periodic([z2], [c], 0), example_2_27()[0],
+                         lambda n: n,
+                         lambda n: FgAbelianMorphism(z2, Z(0), IntMatrix.from_rows([[0, 1]])))
 
 
 def test_mittag_leffler_matches_the_full_chain_scan():

@@ -37,7 +37,7 @@ def system_doc(x) -> dict:
     idx = _indices(x)
     return {
         "name": x.name,
-        "flags": [x.flags.all_bondings_epimorphic, x.periodicity],
+        "flags": [x.all_bondings_epimorphic, x.periodicity],
         "objects": [[lam, object_to_dict(x.object_at(lam))] for lam in idx],
         "bonds": [[lo, hi, morphism_to_dict(x.bond(lo, hi))]
                   for lo in idx for hi in idx if x.index.leq(lo, hi)],

@@ -28,7 +28,6 @@ from promov.families import (
 from promov.indexsets import NAT, FiniteDirectedPoset
 from promov.systems import (
     InverseSystem,
-    SystemFlags,
     SystemMorphism,
     are_equivalent,
     compose_morphisms,
@@ -79,11 +78,16 @@ def test_functoriality_checked():
 
 
 def test_flag_spot_checks():
-    # a declared-epimorphic system whose steps are not epi is flagged
+    # a rule-built sequence declared epimorphic whose steps are not epi is
+    # flagged; a presentation's epimorphy is read off its steps, so the same
+    # steps presented are simply not epimorphic
     x = InverseSystem(NAT, object_rule=lambda n: Z(4),
                       step_rule=lambda n: abelian_scalar(Z(4), 2),
-                      flags=SystemFlags(all_bondings_epimorphic=True))
-    assert any("not epi" in v for v in validate_system(x))
+                      all_bondings_epimorphic=True)
+    assert validate_system(x) == [
+        f"declared epimorphic, but p[{n!r},{n + 1!r}] is not epi" for n in range(8)]
+    presented = InverseSystem.periodic([Z(4)], [abelian_scalar(Z(4), 2)], 0)
+    assert not presented.all_bondings_epimorphic and validate_system(presented) == []
 
 
 def test_a_presentation_repeats_its_period():
